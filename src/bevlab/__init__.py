@@ -1,5 +1,7 @@
 """Loss-convergence laboratory and BEV 3D-detection metrics toolkit."""
 
+__version__ = "0.1.0"
+
 from .losses import (
     LossKind,
     NoiseModel,
@@ -54,5 +56,3 @@ from .bench import (
     simulate_predictions,
     theorem1_experiment,
 )
-
-__version__ = "0.1.0"

@@ -4,8 +4,9 @@ resulting AP3D.
 
 Scenes place objects on disjoint rays (no inter-object interaction); every
 ground-truth depth satisfies ``z = w_star . h`` exactly by rescaling the
-feature along ``w_star``.  Prediction scores are uniform (1.0), so with one
-prediction per ground truth AP reduces to the match rate.
+feature along ``w_star``.  Prediction scores are uniform (1.0) and ranking is
+stable, so AP is the all-point AP of the TP/FP sequence in object order, not
+the match rate.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ def read_box_lines(path) -> list[tuple[str, Box3D]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BoxFormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise BoxFormatError(path, line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise BoxFormatError(path, line_no, "expected a JSON object")
             for key in _REQUIRED:
@@ -63,7 +63,7 @@ def read_box_lines(path) -> list[tuple[str, Box3D]]:
                     category=str(obj["category"]),
                     score=None if score is None else float(score),
                 )
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise BoxFormatError(path, line_no, str(exc)) from exc
             records.append((str(obj["frame"]), box))
     return records

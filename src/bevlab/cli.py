@@ -8,12 +8,12 @@ explicit flags overriding.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 
-from . import bench, boxio, gridio, metrics, reports, sgd
-from .geometry import BevGrid
+from . import bench, boxio, geometry, gridio, metrics, reports, sgd
 from .losses import LossKind, NoiseModel, closed_form_variance, sigma_c
 from .metrics import DEFAULT_BINS, FrameSet
 
@@ -27,7 +27,7 @@ class InputParseError(Exception):
     pass
 
 
-class OutputIOError(Exception):
+class OutputIOError(OSError):
     pass
 
 
@@ -40,6 +40,12 @@ def _write(fn, *args, **kwargs):
         raise OutputIOError(str(exc)) from exc
 
 
+def _write_report(args, header, rows, comments=()) -> None:
+    """Write the command's CSV report to --out, if one is given."""
+    if args.out:
+        _write(reports.write_csv, args.out, header, rows, _run_config(args), args.deterministic, comments)
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -48,19 +54,21 @@ def _str_list(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip() != ""]
 
 
-def _loss_from_args(args) -> LossKind:
-    name = args.loss.lower().replace("-", "_")
-    if name == "l1":
-        return LossKind.l1()
-    if name == "l2":
-        return LossKind.l2()
-    if name in ("smoothl1", "smooth_l1"):
-        return LossKind.smooth_l1(args.beta)
-    if name == "dice":
-        if args.length is None:
-            raise argparse.ArgumentTypeError("--length required for dice loss")
-        return LossKind.dice(args.length)
-    raise argparse.ArgumentTypeError(f"unknown loss {args.loss!r}")
+def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
+    """(line number, stripped cells) of each row of a CSV manifest whose
+    columns are named by ``columns``, e.g. "category,group"; comment and
+    blank rows are skipped."""
+    width = columns.count(",") + 1
+    rows = []
+    with open(path, newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            cells = [v.strip() for v in row]
+            if not any(cells) or cells[0].startswith("#"):
+                continue
+            if len(cells) != width:
+                raise InputParseError(f"{path}:{line_no}: expected {columns}")
+            rows.append((line_no, cells))
+    return rows
 
 
 def _run_config(args) -> dict:
@@ -76,21 +84,14 @@ def _run_config(args) -> dict:
 
 
 def cmd_variance(args) -> int:
-    loss = _loss_from_args(args)
+    loss = LossKind.parse(args.loss, args.length, args.beta)
     closed = closed_form_variance(loss, NoiseModel(args.sigma))
     var, se = sgd.empirical_gradient_variance(loss, args.sigma, args.seed, args.samples)
     print(f"loss={loss.label()} sigma={reports.fmt(args.sigma)}")
     print(f"closed_form={reports.fmt(closed)}")
     print(f"empirical={reports.fmt(var)} std_error={reports.fmt(se)}")
-    if args.out:
-        _write(
-            reports.write_csv,
-            args.out,
-            ["loss", "sigma", "var_closed", "var_empirical", "std_error"],
-            [[loss.label(), args.sigma, closed, var, se]],
-            _run_config(args),
-            args.deterministic,
-        )
+    header = ["loss", "sigma", "var_closed", "var_empirical", "std_error"]
+    _write_report(args, header, [[loss.label(), args.sigma, closed, var, se]])
     return EXIT_OK
 
 
@@ -104,11 +105,11 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _sgd_template(args) -> sgd.SgdConfig:
+def _ensemble_config(args, loss: LossKind, sigma: float) -> sgd.SgdConfig:
     return sgd.SgdConfig(
         dim=args.dim,
-        sigma=0.0,
-        loss=LossKind.l1(),
+        sigma=sigma,
+        loss=loss,
         steps=args.steps,
         trials=args.trials,
         mode=args.mode,
@@ -117,12 +118,12 @@ def _sgd_template(args) -> sgd.SgdConfig:
 
 
 def cmd_sweep(args) -> int:
-    template = _sgd_template(args)
+    template = _ensemble_config(args, LossKind.l1(), 0.0)
     rows = sgd.sweep(args.lengths, args.sigmas, args.losses, template)
     header = ["loss", "length", "sigma", "var_closed", "var_empirical", "mean_dev", "std_err"]
     table = [[r.loss, r.length, r.sigma, r.var_closed, r.var_empirical, r.mean_dev, r.std_err] for r in rows]
     if args.out:
-        _write(reports.write_csv, args.out, header, table, _run_config(args), args.deterministic)
+        _write_report(args, header, table)
         if args.format == "csv+svg":
             series: dict[str, list[tuple[float, float]]] = {}
             for r in rows:
@@ -139,30 +140,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sgd(args) -> int:
-    loss = _loss_from_args(args)
-    cfg = sgd.SgdConfig(
-        dim=args.dim,
-        sigma=args.sigma,
-        loss=loss,
-        steps=args.steps,
-        trials=args.trials,
-        mode=args.mode,
-        base_seed=args.seed,
-    )
-    stats = sgd.run_ensemble(cfg)
+    loss = LossKind.parse(args.loss, args.length, args.beta)
+    stats = sgd.run_ensemble(_ensemble_config(args, loss, args.sigma))
     print(f"loss={loss.label()} sigma={reports.fmt(args.sigma)} mode={args.mode}")
     print(f"mean_deviation_sq={reports.fmt(stats.mean_deviation_sq)} std_error={reports.fmt(stats.std_error)}")
     print(f"empirical_grad_variance={reports.fmt(stats.empirical_grad_variance)}")
-    if args.out:
-        _write(
-            reports.write_csv,
-            args.out,
-            ["loss", "sigma", "mode", "mean_dev", "std_err", "var_empirical"],
-            [[loss.label(), args.sigma, args.mode, stats.mean_deviation_sq, stats.std_error,
-              stats.empirical_grad_variance]],
-            _run_config(args),
-            args.deterministic,
-        )
+    _write_report(
+        args,
+        ["loss", "sigma", "mode", "mean_dev", "std_err", "var_empirical"],
+        [[loss.label(), args.sigma, args.mode, stats.mean_deviation_sq, stats.std_error,
+          stats.empirical_grad_variance]],
+    )
     return EXIT_OK
 
 
@@ -189,8 +177,7 @@ def cmd_theorem1(args) -> int:
             print(f"warning: precondition sigma >= sigma_c not met for length {ell:g}", file=sys.stderr)
     header = ["loss", "length", "sigma", "seed", "ap50", "ap25", "mean_abs_err"]
     table = [[r.loss, r.length, r.sigma, r.seed, r.ap50, r.ap25, r.mean_abs_err] for r in report.rows]
-    if args.out:
-        _write(reports.write_csv, args.out, header, table, _run_config(args), args.deterministic, comments)
+    _write_report(args, header, table, comments)
     for ell in args.length:
         print(f"length={ell:g} sigma={reports.fmt(args.sigma)} sigma_c={reports.fmt(report.sigma_c[ell])}")
         for loss in ("l1", "l2", "dice"):
@@ -212,6 +199,8 @@ def _frames_from_files(pred_path, gt_path) -> list[FrameSet]:
         for box in boxes:
             if box.score is None:
                 raise InputParseError(f"{pred_path}: frame {frame!r} has an unscored prediction")
+    if not preds and not gts:
+        raise InputParseError(f"{pred_path}, {gt_path}: no boxes to evaluate")
     frames = []
     for frame_id in sorted(set(preds) | set(gts)):
         frames.append(FrameSet(frame_id, preds.get(frame_id, []), gts.get(frame_id, [])))
@@ -219,28 +208,17 @@ def _frames_from_files(pred_path, gt_path) -> list[FrameSet]:
 
 
 def _parse_bins(text: str):
-    edges = _float_list(text)
-    if sorted(edges) != edges or len(edges) < 1:
-        raise argparse.ArgumentTypeError("bin edges must be increasing")
-    bins = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    bins.append((edges[-1], math.inf))
-    return tuple(bins)
+    """Bin edges e0,e1,...,en become [e0,e1), ..., [en,inf); evaluate checks
+    that they partition [0, inf)."""
+    edges = _float_list(text) + [math.inf]
+    return tuple(zip(edges, edges[1:]))
 
 
 def cmd_eval(args) -> int:
     frames = _frames_from_files(args.pred, args.gt)
     groups = None
     if args.groups:
-        groups = {}
-        import csv as _csv
-
-        with open(args.groups, newline="") as fh:
-            for line_no, row in enumerate(_csv.reader(fh), start=1):
-                if not row or row[0].startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise InputParseError(f"{args.groups}:{line_no}: expected category,group")
-                groups[row[0].strip()] = row[1].strip()
+        groups = {cat: group for _, (cat, group) in _read_manifest(args.groups, "category,group")}
     report = metrics.evaluate(frames, thresholds=args.iou, bins=args.bins, groups=groups)
     header = ["category", "threshold", "bin", "ap", "n_gt", "n_pred"]
     table = []
@@ -251,8 +229,7 @@ def cmd_eval(args) -> int:
                 table.append([cat, thr, lab, curve.ap, curve.n_gt, curve.n_pred])
     comments = [f"mAP@{thr:g} = {report.map_per_threshold[thr]:.9g}" for thr in report.thresholds]
     comments += [f"AP[{g}]@{thr:g} = {ap:.9g}" for (g, thr), ap in sorted(report.group_ap.items())]
-    if args.out:
-        _write(reports.write_csv, args.out, header, table, _run_config(args), args.deterministic, comments)
+    _write_report(args, header, table, comments)
     print(f"{'category':<16}{'thr':>6}{'bin':>10}{'ap':>12}{'n_gt':>7}{'n_pred':>8}")
     for cat, thr, lab, ap, n_gt, n_pred in table:
         print(f"{cat:<16}{thr:>6g}{lab:>10}{ap:>12.4f}{n_gt:>7}{n_pred:>8}")
@@ -278,46 +255,26 @@ def cmd_nms(args) -> int:
 def cmd_rasterize(args) -> int:
     records = boxio.read_box_lines(args.input)
     boxes = [box for _, box in records]
-    extent = tuple(args.extent)
-    if len(extent) != 4:
-        raise argparse.ArgumentTypeError("--extent needs x_min,x_max,z_min,z_max")
-    from .geometry import rasterize
-
-    grid = rasterize(boxes, BevGrid(args.rows, args.cols, extent))
+    grid = geometry.rasterize(boxes, geometry.BevGrid(args.rows, args.cols, tuple(args.extent)))
     _write(gridio.write_grid, grid, args.out)
     print(f"rasterized {len(boxes)} boxes onto {args.rows}x{args.cols} grid -> {args.out}")
     return EXIT_OK
 
 
 def cmd_seg_iou(args) -> int:
-    import csv as _csv
-
     pairs: dict[str, list] = {}
-    with open(args.pairs, newline="") as fh:
-        for line_no, row in enumerate(_csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) != 3:
-                raise InputParseError(f"{args.pairs}:{line_no}: expected category,pred_path,gt_path")
-            cat, pred_path, gt_path = (v.strip() for v in row)
-            try:
-                pred = gridio.read_grid(pred_path)
-                gt = gridio.read_grid(gt_path)
-            except (OSError, ValueError) as exc:
-                raise InputParseError(f"{args.pairs}:{line_no}: {exc}") from exc
-            pairs.setdefault(cat, []).append((pred, gt))
+    for line_no, (cat, pred_path, gt_path) in _read_manifest(args.pairs, "category,pred_path,gt_path"):
+        try:
+            pred = gridio.read_grid(pred_path)
+            gt = gridio.read_grid(gt_path)
+            if pred.cells.shape != gt.cells.shape:
+                raise ValueError(f"grid shapes differ: {pred.cells.shape} vs {gt.cells.shape}")
+        except (OSError, ValueError) as exc:
+            raise InputParseError(f"{args.pairs}:{line_no}: {exc}") from exc
+        pairs.setdefault(cat, []).append((pred, gt))
     report = metrics.seg_miou(pairs, binarize_threshold=args.threshold)
     table = [[cat, iou] for cat, iou in sorted(report.per_category.items())]
-    if args.out:
-        _write(
-            reports.write_csv,
-            args.out,
-            ["category", "iou"],
-            table,
-            _run_config(args),
-            args.deterministic,
-            [f"mean_foreground = {report.mean_foreground:.9g}"],
-        )
+    _write_report(args, ["category", "iou"], table, [f"mean_foreground = {report.mean_foreground:.9g}"])
     for cat, iou in table:
         print(f"{cat:<16}{iou:.6f}")
     print(f"mean_foreground={reports.fmt(report.mean_foreground)}")
@@ -339,11 +296,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         registry[name] = p
         return p
 
+    def loss_flags(p):
+        p.add_argument("--loss", required=True)
+        p.add_argument("--length", type=float, default=None)
+        p.add_argument("--beta", type=float, default=1.0)
+        p.add_argument("--sigma", type=float, required=True)
+
+    def ensemble_flags(p):
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--steps", type=int, default=1000)
+        p.add_argument("--dim", type=int, default=8)
+        p.add_argument("--mode", choices=["idealized", "literal"], default="idealized")
+
     p = sub("variance", cmd_variance, help="closed-form and Monte Carlo gradient variance")
-    p.add_argument("--loss", required=True)
-    p.add_argument("--length", type=float, default=None)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, required=True)
+    loss_flags(p)
     p.add_argument("--samples", type=int, default=1_000_000)
 
     p = sub("threshold", cmd_threshold, help="critical noise threshold for an object length")
@@ -353,22 +319,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--lengths", type=_float_list, required=True)
     p.add_argument("--sigmas", type=_float_list, required=True)
     p.add_argument("--losses", type=_str_list, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--mode", choices=["idealized", "literal"], default="idealized")
+    ensemble_flags(p)
     p.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
     p.add_argument("--log-y", action="store_true")
 
     p = sub("sgd", cmd_sgd, help="single Monte Carlo SGD ensemble")
-    p.add_argument("--loss", required=True)
-    p.add_argument("--length", type=float, default=None)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--mode", choices=["idealized", "literal"], default="idealized")
+    loss_flags(p)
+    ensemble_flags(p)
 
     p = sub("theorem1", cmd_theorem1, help="dice-vs-regression AP experiment")
     p.add_argument("--length", type=_float_list, required=True)
@@ -402,46 +359,59 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
+def _error(message: str, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> int:
+    """Install the JSON object named by ``--config`` in ``argv``, if any, as
+    defaults of ``sub_parser``; a flag it supplies is no longer required.
+    Returns the exit code, EXIT_OK unless the file is unusable."""
+    pre = argparse.ArgumentParser(prog=sub_parser.prog, add_help=False)
+    for action in sub_parser._actions:  # the same option strings resolve abbreviations alike
+        if action.option_strings:
+            store = "store_true" if action.nargs == 0 else "store"
+            pre.add_argument(*action.option_strings, dest=action.dest, action=store)
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return EXIT_OK
+    try:
+        with open(path) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:
+        return _error(f"cannot read --config: {exc}", EXIT_INPUT_PARSE)
+    if not isinstance(defaults, dict):
+        return _error("--config must hold a JSON object", EXIT_INPUT_PARSE)
+    bad = set(defaults) - {a.dest for a in sub_parser._actions}
+    if bad:
+        return _error(f"unknown config keys: {sorted(bad)}", EXIT_FLAGS)
+    sub_parser.set_defaults(**defaults)
+    for action in sub_parser._actions:
+        if action.dest in defaults:
+            action.required = False
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser, registry = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in registry:
+        code = _load_config(registry[argv[0]], argv[1:])
+        if code != EXIT_OK:
+            return code
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read --config: {exc}", file=sys.stderr)
-            return EXIT_INPUT_PARSE
-        sub_parser = registry[args.command]
-        known = {a.dest for a in sub_parser._actions}
-        bad = set(defaults) - known
-        if bad:
-            print(f"error: unknown config keys: {sorted(bad)}", file=sys.stderr)
-            return EXIT_FLAGS
-        sub_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    # commands that require --out
+    sub_parser = registry[args.command]
     if args.command in ("nms", "rasterize") and not args.out:
-        parser.error(f"{args.command} requires --out")
+        sub_parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
-    except boxio.BoxFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_PARSE
-    except InputParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_PARSE
-    except OutputIOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT_IO
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_PARSE
+    except (boxio.BoxFormatError, InputParseError, FileNotFoundError, UnicodeDecodeError) as exc:
+        return _error(str(exc), EXIT_INPUT_PARSE)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT_IO
+        return _error(str(exc), EXIT_OUTPUT_IO)
+    except ValueError as exc:
+        sub_parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -55,8 +55,12 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError("box dimensions must be > 0")
+        # x - x is 0.0 exactly when x is finite: one cheap sum screens all seven
+        finite = (self.x - self.x) + (self.y - self.y) + (self.z - self.z) + (self.yaw - self.yaw) + (
+            (self.l - self.l) + (self.w - self.w) + (self.h - self.h)
+        ) == 0.0
+        if not (finite and self.l > 0 and self.w > 0 and self.h > 0):
+            raise ValueError("box values must be finite and dimensions > 0")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError("score must be in [0, 1]")
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
@@ -102,16 +106,19 @@ class BevGrid:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
+        if len(self.extent) != 4:
+            raise ValueError("extent must be (x_min, x_max, z_min, z_max)")
         x_min, x_max, z_min, z_max = self.extent
-        if not (x_max > x_min and z_max > z_min):
-            raise ValueError("degenerate extent")
+        if not (math.inf > x_max - x_min > 0 and math.inf > z_max - z_min > 0):
+            raise ValueError("extent must be finite and non-degenerate")
         if self.cells is None:
             self.cells = np.zeros((self.rows, self.cols))
         self.cells = np.asarray(self.cells, dtype=np.float64)
         if self.cells.shape != (self.rows, self.cols):
             raise ValueError("cells shape mismatch")
-        if self.cells.size and (self.cells.min() < -1e-12 or self.cells.max() > 1 + 1e-12):
-            raise ValueError("cell values must lie in [0, 1]")
+        # min/max propagate NaN, which fails both comparisons
+        if self.cells.size and not (self.cells.min() >= -1e-12 and self.cells.max() <= 1 + 1e-12):
+            raise ValueError("cell values must be finite and lie in [0, 1]")
 
     @property
     def cell_width(self) -> float:  # along x
@@ -170,16 +177,6 @@ def _clip_against_edge(poly, a, b):
     return out
 
 
-def _polygon_area(poly) -> float:
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, z1 = poly[i]
-        x2, z2 = poly[(i + 1) % n]
-        area += x1 * z2 - x2 * z1
-    return 0.5 * abs(area)
-
-
 def _footprint_intersection_area(a: Box3D, b: Box3D) -> float:
     # canonical operand order makes the clipping result exactly symmetric
     ka = (a.x, a.z, a.l, a.w, a.yaw)
@@ -197,7 +194,7 @@ def _footprint_intersection_area(a: Box3D, b: Box3D) -> float:
         poly = _clip_against_edge(poly, clip[i], clip[(i + 1) % 4])
         if len(poly) < 3:
             return 0.0
-    return _polygon_area(poly)
+    return abs(_signed_area(poly))
 
 
 def _signed_area(poly) -> float:

@@ -82,6 +82,18 @@ class LossKind:
     def dice(cls, length: float) -> "LossKind":
         return cls("dice", length=length)
 
+    @classmethod
+    def parse(cls, name: str, length: float | None = None, beta: float = 1.0) -> "LossKind":
+        """Loss from its name: ``l1``, ``l2``, ``smooth_l1`` (or ``smoothl1``)
+        or ``dice``, case-insensitive, with ``-`` read as ``_``.
+
+        ``beta`` applies to smooth_l1 and ``length`` to dice only; raises
+        ValueError for an unknown name or for dice without a length.
+        """
+        kind = name.lower().replace("-", "_")
+        kind = "smooth_l1" if kind == "smoothl1" else kind
+        return cls(kind, beta=beta if kind == "smooth_l1" else None, length=length if kind == "dice" else None)
+
     def label(self) -> str:
         if self.kind == "dice":
             return f"dice(l={self.length:g})"

@@ -49,10 +49,10 @@ def bin_label(bin_range: tuple[float, float]) -> str:
 
 
 def _bin_of(value: float, bins) -> str:
+    # bins partition [0, inf) (checked by evaluate), so every size finds one
     for b in bins:
         if b[0] <= value < b[1]:
             return bin_label(b)
-    return bin_label(bins[-1])
 
 
 @dataclass
@@ -180,11 +180,20 @@ def evaluate(
 ) -> ApReport:
     """Per-category, per-threshold, per-length-bin AP over a set of frames.
 
-    ``groups`` maps category -> group name for aggregate APs (e.g. large vs
-    car); mAP averages the "all"-bin AP over categories with at least one GT.
+    ``bins`` must partition [0, inf) into [lo, hi) ranges.  ``groups`` maps
+    category -> group name for aggregate APs (e.g. large vs car); mAP
+    averages the "all"-bin AP over categories with at least one GT.
     """
     if not frames:
         raise ValueError("frame list must be non-empty")
+    if not (
+        bins
+        and bins[0][0] == 0
+        and bins[-1][1] == math.inf
+        and all(lo < hi for lo, hi in bins)
+        and all(prev[1] == nxt[0] for prev, nxt in zip(bins, bins[1:]))
+    ):
+        raise ValueError("length bins must start at 0, increase strictly, be contiguous and end at inf")
     categories = sorted(
         {b.category for f in frames for b in f.ground_truths}
         | {b.category for f in frames for b in f.predictions}

@@ -13,9 +13,9 @@ import json
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["fmt", "write_csv", "svg_line_plot"]
+from . import __version__
 
-TOOL_VERSION = "0.1.0"
+__all__ = ["fmt", "write_csv", "svg_line_plot"]
 
 
 def fmt(value) -> str:
@@ -32,7 +32,7 @@ def fmt(value) -> str:
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], config: dict, deterministic: bool = False,
               extra_comments: Sequence[str] = ()) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# bevlab v{TOOL_VERSION}\n")
+        fh.write(f"# bevlab v{__version__}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
         if not deterministic:
             fh.write(f"# generated: {datetime.datetime.now(datetime.timezone.utc).isoformat()}\n")
@@ -70,6 +70,8 @@ def svg_line_plot(
 
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [ty(y) for pts in series.values() for _, y in pts if not log_y or y > 0]
+    if not ys:
+        raise ValueError("no y value > 0 to plot on a log scale" if log_y else "no points to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import losses as _losses
 from .losses import LossKind, NoiseModel, closed_form_variance, gradient_array
 
 __all__ = [
@@ -143,13 +144,11 @@ def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
         w = config.w_init.copy()
         loss = config.loss
         w_star = config.w_star
-        from .losses import loss_gradient
-
         for j in range(t):
             hj = h[j]
             target = w_star @ hj - eta[j]
             resid = w @ hj - target
-            w -= s[j] * loss_gradient(loss, resid) * hj
+            w -= s[j] * _losses.loss_gradient(loss, resid) * hj
     dev = w - config.w_star
     return TrialResult(final_weight=w, deviation_sq=float(dev @ dev), trial_index=trial_index)
 
@@ -162,6 +161,8 @@ def empirical_gradient_variance(
     Returns ``(variance, standard_error)`` where the standard error is that of
     the variance estimator itself.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     rng = _rng(base_seed, _GRAD_STREAM)
     eta = rng.standard_normal(samples) * sigma
     eps = gradient_array(loss, eta)
@@ -216,20 +217,6 @@ class SweepRow:
     std_err: float
 
 
-def _loss_for(name: str, length: float, template: SgdConfig) -> LossKind:
-    name = name.lower().replace("-", "_")
-    if name == "l1":
-        return LossKind.l1()
-    if name == "l2":
-        return LossKind.l2()
-    if name in ("smoothl1", "smooth_l1"):
-        beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
-        return LossKind.smooth_l1(beta)
-    if name == "dice":
-        return LossKind.dice(length)
-    raise ValueError(f"unknown loss {name!r}")
-
-
 def sweep(
     lengths: Iterable[float],
     sigmas: Iterable[float],
@@ -246,11 +233,12 @@ def sweep(
     losses = list(losses)
     if not lengths or not sigmas or not losses:
         raise ValueError("sweep axes must be non-empty")
+    beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
     rows: list[SweepRow] = []
     row_index = 0
     for loss_name in losses:
         for length in lengths:
-            loss = _loss_for(loss_name, length, template)
+            loss = LossKind.parse(loss_name, length, beta)
             for sigma in sigmas:
                 seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
                 cfg = replace(template, loss=loss, sigma=sigma, base_seed=seed)

@@ -14,6 +14,7 @@ from bevlab.losses import sigma_c
 from bevlab.metrics import ALL_BIN, evaluate
 from bevlab.sgd import SgdConfig
 from bevlab.losses import LossKind
+from oracle_eval import oracle_ap
 
 
 def small_config(**kw):
@@ -111,17 +112,20 @@ class TestSimulatePredictions:
             assert split.curves[key].n_gt == curve.n_gt
 
     def test_ap_equals_residual_match_rate(self):
-        # uniform scores and one prediction per GT on its own ray: AP at IoU
-        # threshold t reduces to the fraction of residuals with
-        # (l - |eta|) / (l + |eta|) >= t
+        # uniform scores and one prediction per GT on its own ray: the
+        # detections rank in object order, object i is a TP at IoU threshold t
+        # exactly when (l - |eta|) / (l + |eta|) >= t, and AP is the
+        # all-point AP of that TP/FP sequence -- not the match rate, since
+        # only some objects match at this weight noise
         scene = generate_scene(small_config(categories=(("car", 4.0),), objects_per_category=400))
         rng = np.random.default_rng(3)
-        weight = scene.w_star + rng.normal(0, 0.05, scene.w_star.shape)
+        weight = scene.w_star + rng.normal(0, 0.6, scene.w_star.shape)
         frame = simulate_predictions(scene, weight)
         resid = np.abs(scene.features @ weight - scene.depths)
         for thr in (0.5, 0.25):
-            cutoff = 4.0 * (1 - thr) / (1 + thr)
-            expected = float(np.mean(resid <= cutoff))
+            flags = resid <= 4.0 * (1 - thr) / (1 + thr)
+            assert 0.0 < flags.mean() < 1.0
+            expected = oracle_ap([(1.0, bool(f)) for f in flags], len(flags))
             report = evaluate(_split_frames(frame), thresholds=(thr,), iou_fn=ray_box_iou)
             assert report.curves[("car", thr, ALL_BIN)].ap == pytest.approx(expected, abs=1e-9)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bevlab import boxio, gridio
-from bevlab.cli import EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
+from bevlab.cli import EXIT_FLAGS, EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
 from bevlab.geometry import BevGrid, Box3D, rasterize
 
 
@@ -311,3 +311,79 @@ class TestFlagErrors:
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--length", "4", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def probe_files(tmp_path):
+    """Named input files for the boundary probes, as str paths."""
+    files = {name: tmp_path / name for name in (
+        "pred.jsonl", "gt.jsonl", "empty.jsonl", "nan_x.jsonl", "inf_yaw.jsonl",
+        "cfg.json", "mismatch.csv", "nan_grid.csv", "long_int.jsonl",
+    )}
+    write_jsonl(files["pred.jsonl"], [box_record(score=0.9)])
+    write_jsonl(files["gt.jsonl"], [box_record()])
+    files["empty.jsonl"].write_text("")
+    write_jsonl(files["nan_x.jsonl"], [box_record(x=float("nan"))])
+    write_jsonl(files["inf_yaw.jsonl"], [box_record(yaw=float("inf"))])
+    files["long_int.jsonl"].write_text(json.dumps(box_record()).replace('"x": 0.0', '"x": ' + "1" * 5000) + "\n")
+    files["cfg.json"].write_text(json.dumps({"length": 4}))
+    small = BevGrid(rows=10, cols=10, extent=(-5, 5, 0, 50))
+    grids = {"small.bevg": small, "tall.bevg": BevGrid(rows=20, cols=10, extent=(-5, 5, 0, 50))}
+    grids["nan.bevg"] = BevGrid(rows=10, cols=10, extent=(-5, 5, 0, 50))
+    grids["nan.bevg"].cells[3, 3] = float("nan")  # bypass validation to put NaN on disk
+    for name, grid in grids.items():
+        gridio.write_grid(grid, tmp_path / name)
+    files["mismatch.csv"].write_text(f"# category,pred,gt\ncar,{tmp_path}/small.bevg,{tmp_path}/tall.bevg\n")
+    files["nan_grid.csv"].write_text(f"# category,pred,gt\ncar,{tmp_path}/small.bevg,{tmp_path}/nan.bevg\n")
+    out = {name.replace(".", "_"): str(path) for name, path in files.items()}
+    out["out"] = str(tmp_path / "out")
+    return out
+
+
+BOUNDARY_PROBES = [
+    # flag values the library rejects: exit 2 with its message
+    ("sgd --loss l2 --sigma 0.5 --dim 0", EXIT_FLAGS, "dim, steps and trials must be >= 1"),
+    ("sgd --loss l2 --sigma -1", EXIT_FLAGS, "sigma must be >= 0"),
+    ("threshold --length -3", EXIT_FLAGS, "length must be > 0"),
+    ("theorem1 --length 12 --sigma 0.5 --seeds 0", EXIT_FLAGS, "n_seeds must be >= 1"),
+    ("eval --pred {pred_jsonl} --gt {gt_jsonl} --iou 0", EXIT_FLAGS, "iou_threshold must be in (0, 1]"),
+    ("rasterize --input {gt_jsonl} --rows 0 --cols 10 --extent=-5,5,0,50 --out {out}.bevg", EXIT_FLAGS,
+     "rows and cols must be >= 1"),
+    ("nms --input {pred_jsonl} --radius 0 --out {out}.jsonl", EXIT_FLAGS, "radius must be > 0"),
+    ("sweep --lengths 12 --sigmas 0 --losses l2 --format csv+svg --log-y --trials 2 --steps 5 --dim 2 "
+     "--out {out}.csv", EXIT_FLAGS, "log scale"),
+    ("eval --pred {pred_jsonl} --gt {gt_jsonl} --bins 5,10", EXIT_FLAGS, "length bins must start at 0"),
+    ("eval --pred {pred_jsonl} --gt {gt_jsonl} --bins 0,5,5", EXIT_FLAGS, "increase strictly"),
+    ("variance --loss hinge --sigma 1", EXIT_FLAGS, "unknown loss"),
+    ("variance --loss l1 --sigma 1 --samples 0", EXIT_FLAGS, "samples must be >= 2"),
+    ("rasterize --input {gt_jsonl} --rows 5 --co 5 --extent=-5,5,0,50 --out {out}.bevg", EXIT_FLAGS,
+     "ambiguous option: --co"),
+    # a config file may supply a required flag, also through an abbreviation
+    ("threshold --config {cfg_json}", EXIT_OK, "length=4"),
+    ("threshold --conf {cfg_json}", EXIT_OK, "length=4"),
+    # bad input data: exit 4, naming the file and line
+    ("eval --pred {empty_jsonl} --gt {empty_jsonl}", EXIT_INPUT_PARSE, "no boxes"),
+    ("seg-iou --pairs {mismatch_csv}", EXIT_INPUT_PARSE, "mismatch.csv:2: grid shapes differ"),
+    ("seg-iou --pairs {nan_grid_csv}", EXIT_INPUT_PARSE, "nan_grid.csv:2:"),
+    ("eval --pred {pred_jsonl} --gt {nan_x_jsonl}", EXIT_INPUT_PARSE, "nan_x.jsonl:1: box values must be finite"),
+    ("eval --pred {pred_jsonl} --gt {inf_yaw_jsonl}", EXIT_INPUT_PARSE,
+     "inf_yaw.jsonl:1: box values must be finite"),
+    ("eval --pred {pred_jsonl} --gt {long_int_jsonl}", EXIT_INPUT_PARSE, "long_int.jsonl:1: invalid JSON"),
+]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("command,code,message", BOUNDARY_PROBES, ids=[p[0].split()[0] for p in BOUNDARY_PROBES])
+    def test_exit_code_and_message(self, command, code, message, probe_files, capsys):
+        try:
+            got = main(command.format(**probe_files).split())
+        except SystemExit as exc:  # argparse's error path
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        if code == EXIT_OK:
+            assert message in out.splitlines()
+            assert error_lines == []
+        else:
+            assert len(error_lines) == 1 and message in error_lines[0]

@@ -189,6 +189,12 @@ class TestBox3D:
         with pytest.raises(ValueError):
             make_box(score=1.5)
 
+    @pytest.mark.parametrize("field", ["x", "y", "z", "l", "w", "h", "yaw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            make_box(**{field: value})
+
 
 def grid_1d(cells=1000, depth=50.0):
     return BevGrid(rows=cells, cols=1, extent=(-1.0, 1.0, 0.0, depth))
@@ -284,6 +290,21 @@ class TestGridIo:
         back = gridio.read_grid(path)
         assert back.extent == grid.extent
         assert np.allclose(back.cells, grid.cells, atol=1e-8)
+
+    def test_non_finite_cells_rejected(self, tmp_path):
+        grid = BevGrid(rows=2, cols=2, extent=(0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            BevGrid(rows=2, cols=2, extent=grid.extent, cells=np.array([[0.0, math.nan], [0.0, 0.0]]))
+        grid.cells[0, 1] = math.nan  # bypass validation to put NaN on disk
+        path = tmp_path / "nan.bevg"
+        gridio.write_grid(grid, path)
+        with pytest.raises(ValueError):
+            gridio.read_grid(path)
+
+    @pytest.mark.parametrize("extent", [(0.0, 1.0, 0.0), (-math.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.nan)])
+    def test_bad_extent_rejected(self, extent):
+        with pytest.raises(ValueError):
+            BevGrid(rows=2, cols=2, extent=extent)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bevg"

@@ -145,6 +145,22 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([])
 
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            (),
+            ((5.0, 10.0), (10.0, math.inf)),  # a 3 m object would have no bin
+            ((0.0, 5.0), (5.0, 5.0), (5.0, math.inf)),  # empty bin
+            ((0.0, 5.0), (6.0, math.inf)),  # gap
+            ((0.0, 5.0), (5.0, 10.0)),  # no [hi, inf) bin
+            ((0.0, math.nan), (math.nan, math.inf)),
+        ],
+    )
+    def test_bins_must_partition_half_line(self, bins):
+        gts = [box(l=3.0, w=2, h=2)]
+        with pytest.raises(ValueError):
+            evaluate([frame([box(l=3.0, w=2, h=2, score=1.0)], gts)], bins=bins)
+
     def test_matches_brute_force_random_instances(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
