@@ -1,8 +1,8 @@
 """Command-line front-end tying the modules together.
 
-Exit codes: 0 success, 2 flag errors, 3 output I/O failures, 4 input parse
-failures.  A JSON document passed via --config supplies flag defaults, with
-explicit flags overriding.
+Exit codes: 0 success, 2 flag errors, 3 output I/O failures, 4 input
+failures (a file that cannot be read or parsed).  A JSON document passed via
+--config supplies flag defaults, with explicit flags overriding.
 """
 
 from __future__ import annotations
@@ -406,10 +406,11 @@ def main(argv=None) -> int:
         sub_parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
-    except (boxio.BoxFormatError, InputParseError, FileNotFoundError, UnicodeDecodeError) as exc:
-        return _error(str(exc), EXIT_INPUT_PARSE)
-    except OSError as exc:
+    except OutputIOError as exc:
         return _error(str(exc), EXIT_OUTPUT_IO)
+    # every other OSError comes from reading input: outputs are written through _write
+    except (boxio.BoxFormatError, InputParseError, OSError, UnicodeDecodeError) as exc:
+        return _error(str(exc), EXIT_INPUT_PARSE)
     except ValueError as exc:
         sub_parser.error(str(exc))
 

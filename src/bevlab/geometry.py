@@ -1,5 +1,6 @@
 """Box and grid geometry: along-ray overlap, rotated BEV/3D IoU, rasterization,
-and grid-level soft dice.
+grid-level soft dice, and boxes as columns (:class:`BoxArray`) for the
+vectorized paths.
 
 Conventions: the BEV plane is x (lateral) by z (depth); elevation is y.
 ``yaw = 0`` points the box length axis along +z (the camera ray), so the
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "Box3D",
+    "BoxArray",
     "RayObject",
     "BevGrid",
     "ray_dice_coefficient",
@@ -67,19 +69,67 @@ class Box3D:
 
     def footprint(self) -> list[tuple[float, float]]:
         """Counter-clockwise corners of the BEV footprint in the (x, z) plane."""
-        s, c = math.sin(self.yaw), math.cos(self.yaw)
-        # length axis u = (s, c), width axis v = (c, -s)
-        hl, hw = 0.5 * self.l, 0.5 * self.w
-        pts = []
-        for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-            pts.append((self.x + a * s + b * c, self.z + a * c - b * s))
-        return pts
-
-    def max_dim(self) -> float:
-        return max(self.l, self.w, self.h)
+        return _footprint(self.x, self.z, self.l, self.w, self.yaw)
 
     def with_score(self, score: float | None) -> "Box3D":
         return replace(self, score=score)
+
+
+def _footprint(x: float, z: float, l: float, w: float, yaw: float) -> list[tuple[float, float]]:
+    s, c = math.sin(yaw), math.cos(yaw)
+    # length axis u = (s, c), width axis v = (c, -s)
+    hl, hw = 0.5 * l, 0.5 * w
+    return [(x + a * s + b * c, z + a * c - b * s) for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+
+
+class BoxArray:
+    """Boxes as columns: ``values`` is (N, 7) float64 in Box3D field order
+    (x, y, z, l, w, h, yaw), ``codes`` indexes ``names`` with each box's
+    category, and ``scores`` is NaN where a box has no score.
+
+    Values are checked as Box3D checks them, and yaws are wrapped into
+    (-pi, pi] with the same float operations, so a box read back through
+    :meth:`boxes` equals the one it was made from.
+    """
+
+    def __init__(self, values, codes, names, scores=None) -> None:
+        values = np.array(values, dtype=np.float64).reshape(-1, 7)
+        codes = np.asarray(codes, dtype=np.intp)
+        n = len(values)
+        scores = np.full(n, math.nan) if scores is None else np.array(scores, dtype=np.float64)
+        if codes.shape != (n,) or scores.shape != (n,):
+            raise ValueError("box columns must have one entry per box")
+        if n and not (codes.min() >= 0 and codes.max() < len(names)):
+            raise ValueError("category codes must index names")
+        if not (np.isfinite(values).all() and (values[:, 3:6] > 0).all()):
+            raise ValueError("box values must be finite and dimensions > 0")
+        scored = scores[~np.isnan(scores)]
+        if not ((scored >= 0.0) & (scored <= 1.0)).all():
+            raise ValueError("score must be in [0, 1]")
+        yaw = np.fmod(values[:, 6], _TAU)  # normalize_yaw, element by element
+        low, high = yaw <= -math.pi, yaw > math.pi
+        yaw[low] += _TAU
+        yaw[high] -= _TAU
+        values[:, 6] = yaw
+        self.values, self.codes, self.names, self.scores = values, codes, tuple(names), scores
+
+    @classmethod
+    def from_boxes(cls, boxes) -> "BoxArray":
+        index: dict[str, int] = {}
+        codes = [index.setdefault(b.category, len(index)) for b in boxes]
+        values = [(b.x, b.y, b.z, b.l, b.w, b.h, b.yaw) for b in boxes]
+        scores = [math.nan if b.score is None else b.score for b in boxes]
+        return cls(np.array(values, dtype=np.float64).reshape(-1, 7), codes, tuple(index), scores)
+
+    def boxes(self) -> list[Box3D]:
+        names = self.names
+        return [
+            Box3D(*v, category=names[c], score=None if math.isnan(s) else s)
+            for v, c, s in zip(self.values.tolist(), self.codes.tolist(), self.scores.tolist())
+        ]
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -177,14 +227,17 @@ def _clip_against_edge(poly, a, b):
     return out
 
 
-def _footprint_intersection_area(a: Box3D, b: Box3D) -> float:
+def _bev_key(box: Box3D) -> tuple[float, float, float, float, float]:
+    return (box.x, box.z, box.l, box.w, box.yaw)
+
+
+def _footprint_intersection_area(ka, kb) -> float:
+    """Exact overlap area of two footprints given as (x, z, l, w, yaw)."""
     # canonical operand order makes the clipping result exactly symmetric
-    ka = (a.x, a.z, a.l, a.w, a.yaw)
-    kb = (b.x, b.z, b.l, b.w, b.yaw)
     if kb < ka:
-        a, b = b, a
-    poly = a.footprint()
-    clip = b.footprint()
+        ka, kb = kb, ka
+    poly = _footprint(*ka)
+    clip = _footprint(*kb)
     # footprint() yields CCW corners; orient edges so "inside" is the left side
     if _signed_area(clip) < 0:
         clip = clip[::-1]
@@ -209,7 +262,7 @@ def _signed_area(poly) -> float:
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Exact IoU of the yaw-rotated rectangular footprints in the x-z plane."""
-    inter = _footprint_intersection_area(a, b)
+    inter = _footprint_intersection_area(_bev_key(a), _bev_key(b))
     if inter <= 0.0:
         return 0.0
     union = a.l * a.w + b.l * b.w - inter
@@ -218,7 +271,7 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
 
 def iou3d(a: Box3D, b: Box3D) -> float:
     """Rotated 3D IoU: BEV intersection area times vertical overlap along y."""
-    inter_area = _footprint_intersection_area(a, b)
+    inter_area = _footprint_intersection_area(_bev_key(a), _bev_key(b))
     if inter_area <= 0.0:
         return 0.0
     y_overlap = _interval_overlap(a.y, a.h, b.y, b.h)
@@ -227,6 +280,48 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     inter_vol = inter_area * y_overlap
     union = a.l * a.w * a.h + b.l * b.w * b.h - inter_vol
     return min(1.0, inter_vol / union) if union > 0 else 0.0
+
+
+def interval_overlaps(c1, l1, c2, l2) -> np.ndarray:
+    """``_interval_overlap`` element by element, with the same float operations."""
+    lo = np.maximum(c1 - 0.5 * l1, c2 - 0.5 * l2)
+    hi = np.minimum(c1 + 0.5 * l1, c2 + 0.5 * l2)
+    return np.maximum(0.0, hi - lo)
+
+
+def _footprint_overlaps(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Footprint intersection area of the row pairs ``rows`` of two (K, 7)
+    box value arrays, by the scalar clipping kernel; zero for other rows."""
+    area = np.zeros(len(a))
+    keys = [0, 2, 3, 4, 6]
+    for k, ka, kb in zip(rows.tolist(), a[rows][:, keys].tolist(), b[rows][:, keys].tolist()):
+        area[k] = _footprint_intersection_area(tuple(ka), tuple(kb))
+    return area
+
+
+def _bev_iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """bev_iou of each row pair of two (K, 7) box value arrays, bit for bit."""
+    inter = _footprint_overlaps(a, b, np.arange(len(a)))
+    union = a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter
+    ok = (inter > 0.0) & (union > 0)
+    return np.where(ok, np.minimum(1.0, inter / np.where(ok, union, 1.0)), 0.0)
+
+
+def _iou3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """iou3d of each row pair of two (K, 7) box value arrays, bit for bit: the
+    footprints are clipped only where the boxes overlap vertically; the rest
+    is the same float operations on arrays."""
+    y_overlap = interval_overlaps(a[:, 1], a[:, 5], b[:, 1], b[:, 5])
+    inter_area = _footprint_overlaps(a, b, np.flatnonzero(y_overlap > 0.0))
+    inter_vol = inter_area * y_overlap
+    union = a[:, 3] * a[:, 4] * a[:, 5] + b[:, 3] * b[:, 4] * b[:, 5] - inter_vol
+    ok = (inter_area > 0.0) & (y_overlap > 0.0) & (union > 0)
+    return np.where(ok, np.minimum(1.0, inter_vol / np.where(ok, union, 1.0)), 0.0)
+
+
+# The vectorized twins that evaluate() uses in place of the scalar IoUs.
+bev_iou.pairwise = _bev_iou_pairs
+iou3d.pairwise = _iou3d_pairs
 
 
 _AXIS_EPS = 1e-9
@@ -285,41 +380,83 @@ def _union_area_in_cell(rects, cx0, cx1, cz0, cz1) -> float:
 def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
     x_min, _, z_min, _ = grid.extent
     dw, dd = grid.cell_width, grid.cell_depth
-    per_cell: dict[tuple[int, int], list] = defaultdict(list)
+    windows = []  # (rect, rows, cols) of the cells each rectangle may touch
+    touched = np.zeros((grid.rows, grid.cols), dtype=np.intp)
     for rect in rects:
         x0, x1, z0, z1 = rect
         j0 = max(0, int(math.floor((x0 - x_min) / dw)))
         j1 = min(grid.cols - 1, int(math.ceil((x1 - x_min) / dw)))
         i0 = max(0, int(math.floor((z0 - z_min) / dd)))
         i1 = min(grid.rows - 1, int(math.ceil((z1 - z_min) / dd)))
-        if x1 <= x_min or z1 <= z_min:
+        if x1 <= x_min or z1 <= z_min or j0 > j1 or i0 > i1:
             continue
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                per_cell[(i, j)].append(rect)
+        rows, cols = slice(i0, i1 + 1), slice(j0, j1 + 1)
+        windows.append((rect, rows, cols))
+        touched[rows, cols] += 1
     cell_area = dw * dd
-    for (i, j), rlist in per_cell.items():
+    shared: dict[tuple[int, int], list] = defaultdict(list)
+    for rect, rows, cols in windows:
+        x0, x1, z0, z1 = rect
+        cx0 = x_min + np.arange(cols.start, cols.stop) * dw
+        cz0 = z_min + np.arange(rows.start, rows.stop) * dd
+        cx1, cz1 = cx0 + dw, cz0 + dd
+        # _union_area_in_cell of this one rectangle, in its operand order: the
+        # x segments [cx0, xa], [xa, xb], [xb, cx1] each add z-cover * width,
+        # and a sliver counts when its midpoint rounds onto the rectangle
+        xa, xb = np.maximum(x0, cx0), np.minimum(x1, cx1)
+        za, zb = np.maximum(z0, cz0), np.minimum(z1, cz1)
+        cover = (zb - za)[:, None]
+        left = (cx0 < xa) & (0.5 * (cx0 + xa) >= xa)
+        right = (xb < cx1) & (0.5 * (xb + cx1) <= xb)
+        area = (np.where(left, cover * (xa - cx0), 0.0) + cover * (xb - xa)) + np.where(right, cover * (cx1 - xb), 0.0)
+        inside = (zb > za)[:, None] & (xb > xa)
+        alone = touched[rows, cols] == 1
+        block = grid.cells[rows, cols]
+        block[alone] = np.where(inside, area, 0.0)[alone] / cell_area
+        for i, j in np.argwhere(~alone).tolist():
+            shared[(rows.start + i, cols.start + j)].append(rect)
+    for (i, j), rlist in shared.items():
         cx0 = x_min + j * dw
         cz0 = z_min + i * dd
         grid.cells[i, j] = _union_area_in_cell(rlist, cx0, cx0 + dw, cz0, cz0 + dd) / cell_area
     np.clip(grid.cells, 0.0, 1.0, out=grid.cells)
 
 
+def _subsample_window(center: float, half: float, lo: float, step: float, count: int) -> tuple[int, int]:
+    """Cell range [c0, c1) whose subsamples (count per axis, centered at
+    lo + (k + 0.5) step) include every one within ``half`` of ``center``,
+    padded by two subsamples against rounding."""
+    first = min(max((center - half - lo) / step - 2.0, 0.0), count)
+    last = min(max((center + half - lo) / step + 2.0, 0.0), count)
+    n = _SUPERSAMPLE
+    return int(math.floor(first)) // n, -(-int(math.ceil(last)) // n)
+
+
 def _rasterize_supersampled(boxes, grid: BevGrid) -> None:
     x_min, x_max, z_min, z_max = grid.extent
     n = _SUPERSAMPLE
-    xs = x_min + (np.arange(grid.cols * n) + 0.5) * (x_max - x_min) / (grid.cols * n)
-    zs = z_min + (np.arange(grid.rows * n) + 0.5) * (z_max - z_min) / (grid.rows * n)
-    X, Z = np.meshgrid(xs, zs)
-    covered = np.zeros(X.shape, dtype=bool)
+    nx, nz = grid.cols * n, grid.rows * n
+    xs = x_min + (np.arange(nx) + 0.5) * (x_max - x_min) / nx
+    zs = z_min + (np.arange(nz) + 0.5) * (z_max - z_min) / nz
+    covered = np.zeros((nz, nx), dtype=bool)
+    windows = []
     for box in boxes:
         s, c = math.sin(box.yaw), math.cos(box.yaw)
-        dx = X - box.x
-        dz = Z - box.z
+        # test only the subsamples of the cells the footprint's bounding box meets
+        c0, c1 = _subsample_window(box.x, 0.5 * (box.l * abs(s) + box.w * abs(c)), x_min, (x_max - x_min) / nx, nx)
+        r0, r1 = _subsample_window(box.z, 0.5 * (box.l * abs(c) + box.w * abs(s)), z_min, (z_max - z_min) / nz, nz)
+        if c0 >= c1 or r0 >= r1:
+            continue
+        rows, cols = slice(r0 * n, r1 * n), slice(c0 * n, c1 * n)
+        dx = xs[None, cols] - box.x
+        dz = zs[rows, None] - box.z
         along = dx * s + dz * c
         across = dx * c - dz * s
-        covered |= (np.abs(along) <= 0.5 * box.l) & (np.abs(across) <= 0.5 * box.w)
-    grid.cells = covered.reshape(grid.rows, n, grid.cols, n).mean(axis=(1, 3))
+        covered[rows, cols] |= (np.abs(along) <= 0.5 * box.l) & (np.abs(across) <= 0.5 * box.w)
+        windows.append((slice(r0, r1), slice(c0, c1)))
+    for rows, cols in windows:
+        block = covered[rows.start * n : rows.stop * n, cols.start * n : cols.stop * n]
+        grid.cells[rows, cols] = block.reshape(rows.stop - rows.start, n, cols.stop - cols.start, n).mean(axis=(1, 3))
 
 
 def rasterize(boxes, template: BevGrid) -> BevGrid:

@@ -8,17 +8,25 @@ ground truth with the highest IoU at or above the threshold, lower GT index
 winning ties.  Length bins classify a ground truth by its maximum dimension;
 unmatched predictions (false positives) fall in the bin of their own maximum
 dimension.
+
+The evaluator works on columns.  Each frame holds its boxes as
+:class:`~bevlab.geometry.BoxArray`; the prediction/GT pairs that can overlap
+are found once per call, by the BEV circumcircles of the boxes; each such
+pair's IoU is computed once, by the vectorized twin of the IoU function, and
+reused for every threshold; matching, binning and AP run on arrays.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BevGrid, Box3D, iou3d
+from .geometry import BevGrid, Box3D, BoxArray, iou3d
 
 __all__ = [
     "FrameSet",
@@ -41,6 +49,10 @@ ALL_BIN = "all"
 
 IouFn = Callable[[Box3D, Box3D], float]
 
+# Meters added to the circumcircle reach, so that rounding in the centre
+# distance never drops a pair whose footprints touch.
+_REACH_SLACK = 1e-6
+
 
 def bin_label(bin_range: tuple[float, float]) -> str:
     lo, hi = bin_range
@@ -48,36 +60,52 @@ def bin_label(bin_range: tuple[float, float]) -> str:
     return f"[{lo:g},{hi_s})"
 
 
-def _bin_of(value: float, bins) -> str:
-    # bins partition [0, inf) (checked by evaluate), so every size finds one
-    for b in bins:
-        if b[0] <= value < b[1]:
-            return bin_label(b)
-
-
-@dataclass
 class FrameSet:
-    """Predictions (scored) and ground truths (unscored) of one frame."""
+    """Predictions (scored) and ground truths (unscored) of one frame.
 
-    frame_id: str
-    predictions: list[Box3D]
-    ground_truths: list[Box3D]
+    The boxes are held as columns, ``pred_boxes`` and ``gt_boxes``.  A frame
+    made from Box3D lists keeps them as ``predictions`` and
+    ``ground_truths``; one made with :meth:`from_columns` builds those lists
+    on first read.
+    """
 
-    def __post_init__(self) -> None:
-        for box in self.predictions:
-            if box.score is None:
-                raise ValueError(f"frame {self.frame_id}: prediction without score")
+    def __init__(self, frame_id: str, predictions: Sequence[Box3D] = (), ground_truths: Sequence[Box3D] = ()):
+        self.predictions, self.ground_truths = list(predictions), list(ground_truths)
+        self._set(frame_id, BoxArray.from_boxes(self.predictions), BoxArray.from_boxes(self.ground_truths))
+
+    @classmethod
+    def from_columns(cls, frame_id: str, pred_boxes: BoxArray, gt_boxes: BoxArray) -> "FrameSet":
+        frame = cls.__new__(cls)
+        frame._set(frame_id, pred_boxes, gt_boxes)
+        return frame
+
+    def _set(self, frame_id: str, pred_boxes: BoxArray, gt_boxes: BoxArray) -> None:
+        if np.isnan(pred_boxes.scores).any():
+            raise ValueError(f"frame {frame_id}: prediction without score")
+        self.frame_id, self.pred_boxes, self.gt_boxes = frame_id, pred_boxes, gt_boxes
+
+    @cached_property
+    def predictions(self) -> list[Box3D]:
+        return self.pred_boxes.boxes()
+
+    @cached_property
+    def ground_truths(self) -> list[Box3D]:
+        return self.gt_boxes.boxes()
 
 
-@dataclass(frozen=True)
 class PrCurve:
-    """Operating points (score threshold, precision, recall) plus the
-    all-point-interpolated average precision."""
+    """Operating points (score threshold, precision, recall), one per
+    detection in visiting order, plus the all-point-interpolated average
+    precision."""
 
-    points: tuple[tuple[float, float, float], ...]
-    ap: float
-    n_gt: int
-    n_pred: int
+    def __init__(self, scores: np.ndarray, precision: np.ndarray, recall: np.ndarray, ap: float, n_gt: int,
+                 n_pred: int) -> None:
+        self.scores, self.precision, self.recall = scores, precision, recall
+        self.ap, self.n_gt, self.n_pred = ap, n_gt, n_pred
+
+    @cached_property
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple(zip(self.scores.tolist(), self.precision.tolist(), self.recall.tolist()))
 
 
 @dataclass
@@ -97,9 +125,124 @@ class SegIoUReport:
     mean_all: float | None = None
 
 
-def _score_order(preds: Sequence[tuple[int, Box3D]]) -> list[tuple[int, Box3D]]:
-    # stable: equal scores keep input order
-    return sorted(preds, key=lambda ib: -ib[1].score)
+def _check_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError("iou_threshold must be in (0, 1]")
+
+
+def _stack(arrays: Sequence[BoxArray], index: Mapping[str, int]):
+    """Values, category codes (in ``index``) and scores of several box
+    arrays, concatenated."""
+    codes = [np.array([index[n] for n in a.names], dtype=np.intp)[a.codes] for a in arrays if len(a)]
+    return (
+        np.concatenate([a.values for a in arrays]),
+        np.concatenate(codes) if codes else np.zeros(0, dtype=np.intp),
+        np.concatenate([a.scores for a in arrays]),
+    )
+
+
+class _Pairs:
+    """Every prediction and ground truth of a frame set as columns, the
+    prediction/GT pairs of one frame and category that can overlap, and each
+    pair's IoU.
+
+    An IoU function with a ``pairwise`` twin (found through
+    ``inspect.unwrap``, so a wrapped function keeps it) is zero for boxes
+    whose footprints are disjoint; its pairs are those whose BEV
+    circumcircles meet, and the twin scores them all in one call.  Any other
+    function is called on every same-category pair of a frame.
+    """
+
+    def __init__(self, frames: Sequence[FrameSet], iou_fn: IouFn) -> None:
+        names = sorted({n for f in frames for a in (f.pred_boxes, f.gt_boxes) for n in a.names})
+        index = {n: k for k, n in enumerate(names)}
+        preds, pred_cat, scores = _stack([f.pred_boxes for f in frames], index)
+        gts, gt_cat, _ = _stack([f.gt_boxes for f in frames], index)
+        used = np.flatnonzero(np.bincount(np.concatenate([pred_cat, gt_cat]), minlength=len(names)))
+        recode = np.zeros(len(names), dtype=np.intp)
+        recode[used] = np.arange(len(used))
+        self.categories = tuple(names[k] for k in used.tolist())
+        self.preds, self.gts, self.scores = preds, gts, scores
+        self.pred_cat, self.gt_cat = recode[pred_cat], recode[gt_cat]
+        # visiting order: descending score, ties in input order (frame by frame)
+        self.order = np.argsort(-scores, kind="stable")
+        self.rank = np.empty(len(scores), dtype=np.intp)
+        self.rank[self.order] = np.arange(len(scores))
+        n_cat = max(len(used), 1)
+        pred_frame = np.repeat(np.arange(len(frames)), [len(f.pred_boxes) for f in frames])
+        gt_frame = np.repeat(np.arange(len(frames)), [len(f.gt_boxes) for f in frames])
+        twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
+        self.pred_idx, self.gt_idx = self._candidates(
+            pred_frame * n_cat + self.pred_cat, gt_frame * n_cat + self.gt_cat, prefilter=twin is not None
+        )
+        if twin is not None:
+            self.iou = np.asarray(twin(preds[self.pred_idx], gts[self.gt_idx]), dtype=np.float64)
+        else:
+            pred_boxes = [b for f in frames for b in f.predictions]
+            gt_boxes = [b for f in frames for b in f.ground_truths]
+            self.iou = np.array(
+                [iou_fn(pred_boxes[i], gt_boxes[j]) for i, j in zip(self.pred_idx.tolist(), self.gt_idx.tolist())],
+                dtype=np.float64,
+            )
+
+    def _candidates(self, pred_group: np.ndarray, gt_group: np.ndarray, prefilter: bool):
+        """(prediction, GT) index pairs within each group; with ``prefilter``,
+        only those whose BEV circumcircles meet.  Each group's GTs are sorted
+        by x, and each prediction searches the x window its circle can reach."""
+        preds, gts = self.preds, self.gts
+        pred_reach = 0.5 * np.hypot(preds[:, 3], preds[:, 4])
+        gt_reach = 0.5 * np.hypot(gts[:, 3], gts[:, 4])
+        p_order = np.argsort(pred_group, kind="stable")
+        g_order = np.lexsort((gts[:, 0], gt_group))
+        size = max(pred_group.max(initial=-1), gt_group.max(initial=-1)) + 1
+        p_end = np.cumsum(np.bincount(pred_group, minlength=size))
+        g_end = np.cumsum(np.bincount(gt_group, minlength=size))
+        p_start = np.concatenate([[0], p_end[:-1]])
+        g_start = np.concatenate([[0], g_end[:-1]])
+        pairs_p, pairs_g = [], []
+        for k in np.flatnonzero((p_end > p_start) & (g_end > g_start)).tolist():
+            p = p_order[p_start[k] : p_end[k]]
+            g = g_order[g_start[k] : g_end[k]]
+            if prefilter:
+                half = pred_reach[p] + (gt_reach[g].max() + _REACH_SLACK)
+                gx = gts[g, 0]
+                lo = np.searchsorted(gx, preds[p, 0] - half)
+                hi = np.searchsorted(gx, preds[p, 0] + half, "right")
+            else:
+                lo, hi = np.zeros(len(p), dtype=np.intp), np.full(len(p), len(g))
+            count = hi - lo
+            start = np.repeat(lo - (np.cumsum(count) - count), count)
+            pairs_p.append(np.repeat(p, count))
+            pairs_g.append(g[start + np.arange(count.sum())])
+        if not pairs_p:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        pi, gj = np.concatenate(pairs_p), np.concatenate(pairs_g)
+        if prefilter:
+            dist = np.hypot(preds[pi, 0] - gts[gj, 0], preds[pi, 2] - gts[gj, 2])
+            meet = dist <= pred_reach[pi] + gt_reach[gj] + _REACH_SLACK
+            pi, gj = pi[meet], gj[meet]
+        return pi, gj
+
+    def match(self, iou_threshold: float) -> np.ndarray:
+        """Greedy matching at one threshold: each prediction's matched GT
+        index, or -1."""
+        ok = self.iou >= iou_threshold
+        p, g, iou = self.pred_idx[ok], self.gt_idx[ok], self.iou[ok]
+        matched = np.full(len(self.preds), -1, dtype=np.intp)
+        # a prediction and a GT that can only match each other need no visit
+        alone = (np.bincount(p, minlength=len(self.preds))[p] == 1) & (np.bincount(g, minlength=len(self.gts))[g] == 1)
+        matched[p[alone]] = g[alone]
+        p, g, iou = p[~alone], g[~alone], iou[~alone]
+        # the rest in visiting order; each prediction tries its GTs by IoU, lower index first on ties
+        order = np.lexsort((g, -iou, self.rank[p]))
+        done: set[int] = set()
+        taken: set[int] = set()
+        for i, j in zip(p[order].tolist(), g[order].tolist()):
+            if i not in done and j not in taken:
+                matched[i] = j
+                done.add(i)
+                taken.add(j)
+        return matched
 
 
 def match_greedy(
@@ -113,26 +256,28 @@ def match_greedy(
     Returns (prediction index, matched GT index or None) pairs in the visiting
     order; indices refer to the frame's full prediction/GT lists.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in (0, 1]")
-    preds = [(i, p) for i, p in enumerate(frame.predictions) if p.category == category]
-    gts = [(j, g) for j, g in enumerate(frame.ground_truths) if g.category == category]
-    taken: set[int] = set()
-    out: list[tuple[int, int | None]] = []
-    for i, pred in _score_order(preds):
-        best_j = None
-        best_iou = 0.0
-        for j, gt in gts:
-            if j in taken:
-                continue
-            iou = iou_fn(pred, gt)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou = iou
-                best_j = j
-        if best_j is not None:
-            taken.add(best_j)
-        out.append((i, best_j))
-    return out
+    _check_threshold(iou_threshold)
+    pairs = _Pairs([frame], iou_fn)
+    if category not in pairs.categories:
+        return []
+    code = pairs.categories.index(category)
+    matched = pairs.match(iou_threshold)
+    visits = pairs.order[pairs.pred_cat[pairs.order] == code].tolist()
+    return [(i, None if matched[i] < 0 else int(matched[i])) for i in visits]
+
+
+def _pr_curve(scores: np.ndarray, is_tp: np.ndarray, n_gt: int) -> PrCurve:
+    """Curve of detections already in visiting order."""
+    tp = np.cumsum(is_tp)
+    precision = tp / np.arange(1, len(tp) + 1)
+    recall = tp / n_gt if n_gt else np.zeros(len(tp))
+    ap = 0.0
+    if n_gt and len(tp):
+        # precision envelope from the right, then sum rectangle areas at TP steps
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        previous = np.concatenate([[0.0], recall[:-1]])
+        ap = float(np.sum((recall - previous) * envelope))
+    return PrCurve(scores, precision, recall, ap=ap, n_gt=n_gt, n_pred=len(tp))
 
 
 def average_precision(detections: Iterable[tuple[float, bool]], n_gt: int) -> PrCurve:
@@ -143,32 +288,11 @@ def average_precision(detections: Iterable[tuple[float, bool]], n_gt: int) -> Pr
     """
     if n_gt < 0:
         raise ValueError("n_gt must be >= 0")
-    dets = sorted(detections, key=lambda d: -d[0])
-    if n_gt == 0 or not dets:
-        points = []
-        tp = fp = 0
-        for score, is_tp in dets:
-            tp += is_tp
-            fp += not is_tp
-            prec = tp / (tp + fp)
-            points.append((score, prec, 0.0 if n_gt == 0 else tp / n_gt))
-        return PrCurve(points=tuple(points), ap=0.0, n_gt=n_gt, n_pred=len(dets))
-    tp = fp = 0
-    precision = []
-    recall = []
-    points = []
-    for score, is_tp in dets:
-        tp += is_tp
-        fp += not is_tp
-        precision.append(tp / (tp + fp))
-        recall.append(tp / n_gt)
-        points.append((score, precision[-1], recall[-1]))
-    # precision envelope from the right, then sum rectangle areas at TP steps
-    env = np.maximum.accumulate(np.array(precision)[::-1])[::-1]
-    rec = np.array(recall)
-    prev = np.concatenate([[0.0], rec[:-1]])
-    ap = float(np.sum((rec - prev) * env))
-    return PrCurve(points=tuple(points), ap=ap, n_gt=n_gt, n_pred=len(dets))
+    dets = list(detections)
+    scores = np.array([score for score, _ in dets], dtype=np.float64)
+    is_tp = np.array([bool(tp) for _, tp in dets], dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    return _pr_curve(scores[order], is_tp[order], n_gt)
 
 
 def evaluate(
@@ -186,6 +310,11 @@ def evaluate(
     """
     if not frames:
         raise ValueError("frame list must be non-empty")
+    thresholds = tuple(thresholds)
+    if not thresholds:
+        raise ValueError("iou thresholds must be non-empty")
+    for thr in thresholds:
+        _check_threshold(thr)
     if not (
         bins
         and bins[0][0] == 0
@@ -194,35 +323,31 @@ def evaluate(
         and all(prev[1] == nxt[0] for prev, nxt in zip(bins, bins[1:]))
     ):
         raise ValueError("length bins must start at 0, increase strictly, be contiguous and end at inf")
-    categories = sorted(
-        {b.category for f in frames for b in f.ground_truths}
-        | {b.category for f in frames for b in f.predictions}
-    )
+    pairs = _Pairs(frames, iou_fn)
+    categories = pairs.categories
     labels = [bin_label(b) for b in bins] + [ALL_BIN]
+    edges = np.array([lo for lo, _ in bins])
+    n_bins = len(bins)
+    gt_bin = np.searchsorted(edges, pairs.gts[:, 3:6].max(axis=1), "right") - 1
+    pred_bin = np.searchsorted(edges, pairs.preds[:, 3:6].max(axis=1), "right") - 1
+    n_gt = np.bincount(pairs.gt_cat * n_bins + gt_bin, minlength=len(categories) * n_bins)
+    n_gt = n_gt.reshape(len(categories), n_bins).tolist()
+    order = pairs.order
+    scores, cat = pairs.scores[order], pairs.pred_cat[order]
     curves: dict[tuple[str, float, str], PrCurve] = {}
     for thr in thresholds:
-        for cat in categories:
-            # detections per bin: (score, tp); GT counts per bin
-            dets: dict[str, list[tuple[float, bool]]] = {lab: [] for lab in labels}
-            n_gt: dict[str, int] = {lab: 0 for lab in labels}
-            for frame in frames:
-                for gt in frame.ground_truths:
-                    if gt.category != cat:
-                        continue
-                    n_gt[_bin_of(gt.max_dim(), bins)] += 1
-                    n_gt[ALL_BIN] += 1
-                for pred_idx, gt_idx in match_greedy(frame, cat, thr, iou_fn):
-                    pred = frame.predictions[pred_idx]
-                    if gt_idx is not None:
-                        lab = _bin_of(frame.ground_truths[gt_idx].max_dim(), bins)
-                        entry = (pred.score, True)
-                    else:
-                        lab = _bin_of(pred.max_dim(), bins)
-                        entry = (pred.score, False)
-                    dets[lab].append(entry)
-                    dets[ALL_BIN].append(entry)
-            for lab in labels:
-                curves[(cat, thr, lab)] = average_precision(dets[lab], n_gt[lab])
+        matched = pairs.match(thr)[order]
+        is_tp = matched >= 0
+        det_bin = pred_bin[order]
+        det_bin[is_tp] = gt_bin[matched[is_tp]]
+        for c, name in enumerate(categories):
+            in_cat = cat == c
+            for b, lab in enumerate(labels):
+                if lab == ALL_BIN:
+                    sel, count = in_cat, sum(n_gt[c])
+                else:
+                    sel, count = in_cat & (det_bin == b), n_gt[c][b]
+                curves[(name, thr, lab)] = _pr_curve(scores[sel], is_tp[sel], count)
     map_per_threshold: dict[float, float] = {}
     for thr in thresholds:
         aps = [curves[(c, thr, ALL_BIN)].ap for c in categories if curves[(c, thr, ALL_BIN)].n_gt > 0]
@@ -244,7 +369,7 @@ def evaluate(
         map_per_threshold=map_per_threshold,
         group_ap=group_ap,
         categories=tuple(categories),
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
         bin_labels=tuple(labels),
     )
 

@@ -8,13 +8,22 @@ from bevlab.bench import (
     simulate_predictions,
     theorem1_experiment,
 )
-from bevlab.bench import _split_frames
-from bevlab.geometry import Box3D
+from bevlab.geometry import Box3D, BoxArray
 from bevlab.losses import sigma_c
-from bevlab.metrics import ALL_BIN, evaluate
+from bevlab.metrics import ALL_BIN, FrameSet, evaluate
 from bevlab.sgd import SgdConfig
 from bevlab.losses import LossKind
 from oracle_eval import oracle_ap
+
+
+def split_frames(frame, chunk=25):
+    """The frame cut into frames of ``chunk`` consecutive rays."""
+    n = len(frame.ground_truths)
+    return [
+        FrameSet(f"{frame.frame_id}:{start}", frame.predictions[start : start + chunk],
+                 frame.ground_truths[start : start + chunk])
+        for start in range(0, n, chunk)
+    ]
 
 
 def small_config(**kw):
@@ -86,12 +95,22 @@ class TestRayBoxIou:
     def test_distinct_rays(self):
         assert ray_box_iou(self._box(0, 30, 4), self._box(1000, 30, 4)) == 0.0
 
+    def test_vectorized_twin_is_bit_identical(self):
+        rng = np.random.default_rng(13)
+        # rays 0, 1 and 1000 m apart; lengths and depths that touch, nest and miss
+        a = [self._box(float(rng.choice([0.0, 1.0, 1000.0])), float(rng.choice([30.0, 32.0, rng.uniform(20, 40)])),
+                       float(rng.choice([2.0, 4.0, rng.uniform(0.5, 12)]))) for _ in range(400)]
+        b = [self._box(float(rng.choice([0.0, 1.0])), float(rng.choice([30.0, 34.0, rng.uniform(20, 40)])),
+                       float(rng.choice([2.0, 4.0, rng.uniform(0.5, 12)]))) for _ in range(400)]
+        got = ray_box_iou.pairwise(BoxArray.from_boxes(a).values, BoxArray.from_boxes(b).values)
+        assert got.tolist() == [ray_box_iou(p, q) for p, q in zip(a, b)]
+
 
 class TestSimulatePredictions:
     def test_perfect_weight_gives_perfect_ap(self):
         scene = generate_scene(small_config())
         frame = simulate_predictions(scene, scene.w_star)
-        report = evaluate(_split_frames(frame), thresholds=(0.5, 0.25), iou_fn=ray_box_iou)
+        report = evaluate([frame], thresholds=(0.5, 0.25), iou_fn=ray_box_iou)
         assert report.map_per_threshold[0.5] == 1.0
         assert report.map_per_threshold[0.25] == 1.0
 
@@ -106,9 +125,9 @@ class TestSimulatePredictions:
         weight = scene.w_star + rng.normal(0, 0.3, scene.w_star.shape)
         frame = simulate_predictions(scene, weight)
         whole = evaluate([frame], thresholds=(0.5,), iou_fn=ray_box_iou)
-        split = evaluate(_split_frames(frame), thresholds=(0.5,), iou_fn=ray_box_iou)
+        split = evaluate(split_frames(frame), thresholds=(0.5,), iou_fn=ray_box_iou)
         for key, curve in whole.curves.items():
-            assert split.curves[key].ap == pytest.approx(curve.ap, abs=1e-12)
+            assert split.curves[key].ap == curve.ap
             assert split.curves[key].n_gt == curve.n_gt
 
     def test_ap_equals_residual_match_rate(self):
@@ -126,7 +145,7 @@ class TestSimulatePredictions:
             flags = resid <= 4.0 * (1 - thr) / (1 + thr)
             assert 0.0 < flags.mean() < 1.0
             expected = oracle_ap([(1.0, bool(f)) for f in flags], len(flags))
-            report = evaluate(_split_frames(frame), thresholds=(thr,), iou_fn=ray_box_iou)
+            report = evaluate([frame], thresholds=(thr,), iou_fn=ray_box_iou)
             assert report.curves[("car", thr, ALL_BIN)].ap == pytest.approx(expected, abs=1e-9)
 
 
@@ -169,3 +188,32 @@ class TestTheorem1Experiment:
             theorem1_experiment([4.0], sigma=-1.0, sgd_template=self._template(), n_seeds=1)
         with pytest.raises(ValueError):
             theorem1_experiment([4.0], sigma=0.5, sgd_template=self._template(), n_seeds=0)
+        with pytest.raises(ValueError, match="lengths must be non-empty"):
+            theorem1_experiment([], sigma=0.5, sgd_template=self._template(), n_seeds=1)
+
+    def test_rows_pinned(self):
+        # rows of the per-object evaluator that scored each scene in frames
+        # of 25 rays; the columnar one must give them to the last bit
+        report = theorem1_experiment(
+            [12.0, 4.0], sigma=0.5, sgd_template=self._template(), n_seeds=2, objects_per_category=2000
+        )
+        got = [(r.loss, r.length, r.seed, r.ap50, r.ap25, r.mean_abs_err) for r in report.rows]
+        assert got == PINNED_ROWS
+        assert all(r.sigma == 0.5 for r in report.rows)
+
+
+# (loss, length, seed, ap50, ap25, mean_abs_err)
+PINNED_ROWS = [
+    ("l1", 12.0, 0, 0.7223557075674587, 0.9836618725682549, 2.3049605129727744),
+    ("l2", 12.0, 0, 0.9944362278465029, 1.0, 1.1278894390774634),
+    ("dice", 12.0, 0, 1.0, 1.0, 0.27729535008375716),
+    ("l1", 12.0, 1, 0.6799992332156273, 0.978660357462606, 2.4040124995014422),
+    ("l2", 12.0, 1, 1.0, 1.0, 0.7092583252098086),
+    ("dice", 12.0, 1, 1.0, 1.0, 0.22490450016582791),
+    ("l1", 4.0, 0, 0.04827796345608827, 0.15612218392556498, 3.553478934028621),
+    ("l2", 4.0, 0, 0.4554537884104073, 0.8736124053707202, 1.0765297771888114),
+    ("dice", 4.0, 0, 0.46914777648962547, 0.8771933407558801, 1.074633820433219),
+    ("l1", 4.0, 1, 0.15809011315692648, 0.42382719118806356, 2.0887648549542197),
+    ("l2", 4.0, 1, 0.5446693009836918, 0.9010673422588032, 0.9782264734078078),
+    ("dice", 4.0, 1, 0.9336190016286304, 1.0, 0.5172474934343787),
+]

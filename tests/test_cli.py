@@ -337,6 +337,7 @@ def probe_files(tmp_path):
     files["nan_grid.csv"].write_text(f"# category,pred,gt\ncar,{tmp_path}/small.bevg,{tmp_path}/nan.bevg\n")
     out = {name.replace(".", "_"): str(path) for name, path in files.items()}
     out["out"] = str(tmp_path / "out")
+    out["dir"] = str(tmp_path)
     return out
 
 
@@ -372,18 +373,39 @@ BOUNDARY_PROBES = [
 ]
 
 
+# an empty list flag is a rejected flag value, with the library's message
+EMPTY_LIST_PROBES = [
+    ("eval --pred {pred_jsonl} --gt {gt_jsonl} --iou=", EXIT_FLAGS, "iou thresholds must be non-empty"),
+    ("theorem1 --length= --sigma 0.5", EXIT_FLAGS, "lengths must be non-empty"),
+    ("sweep --lengths= --sigmas 0.5 --losses l1", EXIT_FLAGS, "sweep axes must be non-empty"),
+]
+
+
+def run_probe(command, code, message, probe_files, capsys):
+    try:
+        got = main(command.format(**probe_files).split())
+    except SystemExit as exc:  # argparse's error path
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    if code == EXIT_OK:
+        assert message in out.splitlines()
+        assert error_lines == []
+    else:
+        assert len(error_lines) == 1 and message in error_lines[0]
+
+
 class TestBoundary:
     @pytest.mark.parametrize("command,code,message", BOUNDARY_PROBES, ids=[p[0].split()[0] for p in BOUNDARY_PROBES])
     def test_exit_code_and_message(self, command, code, message, probe_files, capsys):
-        try:
-            got = main(command.format(**probe_files).split())
-        except SystemExit as exc:  # argparse's error path
-            got = exc.code
-        out, err = capsys.readouterr()
-        assert got == code
-        error_lines = [line for line in err.splitlines() if "error:" in line]
-        if code == EXIT_OK:
-            assert message in out.splitlines()
-            assert error_lines == []
-        else:
-            assert len(error_lines) == 1 and message in error_lines[0]
+        run_probe(command, code, message, probe_files, capsys)
+
+    @pytest.mark.parametrize("command,code,message", EMPTY_LIST_PROBES, ids=[p[0].split()[0] for p in EMPTY_LIST_PROBES])
+    def test_empty_list_flag(self, command, code, message, probe_files, capsys):
+        run_probe(command, code, message, probe_files, capsys)
+
+    def test_unreadable_input_is_input_error(self, probe_files, capsys):
+        # a directory where a box file should be: an input OSError, not an output one
+        run_probe("eval --pred {dir} --gt {gt_jsonl}", EXIT_INPUT_PARSE, "Is a directory", probe_files, capsys)
+

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bevlab.geometry import (
     ray_iou,
 )
 from bevlab import gridio
+from bevlab.geometry import _axis_aligned_rect, _union_area_in_cell
 
 
 def make_box(x=0.0, z=0.0, l=4.0, w=2.0, h=1.5, yaw=0.0, y=0.0, **kw):
@@ -239,6 +241,117 @@ class TestRasterize:
         # union is [24, 26.5]: 2.5 m -> 50 cells
         assert grid.cells.sum() == pytest.approx(50.0, abs=1.0)
         assert grid.cells.max() <= 1.0
+
+
+# The per-cell rasterizers as they were before windowing, kept as references:
+# the windowed paths must give the same grid bit for bit.
+def reference_axis_aligned(rects, grid):
+    x_min, _, z_min, _ = grid.extent
+    dw, dd = grid.cell_width, grid.cell_depth
+    per_cell = defaultdict(list)
+    for rect in rects:
+        x0, x1, z0, z1 = rect
+        j0 = max(0, int(math.floor((x0 - x_min) / dw)))
+        j1 = min(grid.cols - 1, int(math.ceil((x1 - x_min) / dw)))
+        i0 = max(0, int(math.floor((z0 - z_min) / dd)))
+        i1 = min(grid.rows - 1, int(math.ceil((z1 - z_min) / dd)))
+        if x1 <= x_min or z1 <= z_min:
+            continue
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                per_cell[(i, j)].append(rect)
+    cell_area = dw * dd
+    for (i, j), rlist in per_cell.items():
+        cx0 = x_min + j * dw
+        cz0 = z_min + i * dd
+        grid.cells[i, j] = _union_area_in_cell(rlist, cx0, cx0 + dw, cz0, cz0 + dd) / cell_area
+    np.clip(grid.cells, 0.0, 1.0, out=grid.cells)
+
+
+def reference_supersampled(boxes, grid):
+    x_min, x_max, z_min, z_max = grid.extent
+    n = 4
+    xs = x_min + (np.arange(grid.cols * n) + 0.5) * (x_max - x_min) / (grid.cols * n)
+    zs = z_min + (np.arange(grid.rows * n) + 0.5) * (z_max - z_min) / (grid.rows * n)
+    X, Z = np.meshgrid(xs, zs)
+    covered = np.zeros(X.shape, dtype=bool)
+    for box in boxes:
+        s, c = math.sin(box.yaw), math.cos(box.yaw)
+        dx = X - box.x
+        dz = Z - box.z
+        along = dx * s + dz * c
+        across = dx * c - dz * s
+        covered |= (np.abs(along) <= 0.5 * box.l) & (np.abs(across) <= 0.5 * box.w)
+    grid.cells = covered.reshape(grid.rows, n, grid.cols, n).mean(axis=(1, 3))
+
+
+def reference_rasterize(boxes, template):
+    grid = template.like()
+    rects = [_axis_aligned_rect(b) for b in boxes]
+    if all(r is not None for r in rects):
+        reference_axis_aligned(rects, grid)
+    else:
+        reference_supersampled(boxes, grid)
+    return grid
+
+
+ODD_GRID = BevGrid(rows=37, cols=23, extent=(-7.3, 11.1, 2.2, 40.7))  # cell sides not representable
+
+
+class TestRasterizeMatchesReference:
+    def assert_same(self, boxes, template=ODD_GRID):
+        got = rasterize(boxes, template).cells
+        assert np.array_equal(got, reference_rasterize(boxes, template).cells)
+        return got
+
+    def test_rotated_straddling_extent(self):
+        rng = np.random.default_rng(41)
+        x_min, x_max, z_min, z_max = ODD_GRID.extent
+        for _ in range(20):
+            boxes = [
+                make_box(x=float(rng.choice([x_min, x_max, rng.uniform(x_min, x_max)]) + rng.normal(0, 2)),
+                         z=float(rng.choice([z_min, z_max, rng.uniform(z_min, z_max)]) + rng.normal(0, 2)),
+                         l=float(rng.uniform(0.5, 14)), w=float(rng.uniform(0.3, 3)),
+                         yaw=float(rng.uniform(-math.pi, math.pi)))
+                for _ in range(rng.integers(1, 5))
+            ]
+            self.assert_same(boxes)
+
+    @pytest.mark.parametrize("yaw", [0.0, math.pi / 2, 0.7])
+    def test_boxes_fully_outside(self, yaw):
+        x_min, x_max, z_min, z_max = ODD_GRID.extent
+        boxes = [make_box(x=x_min - 5, z=20.0, yaw=yaw), make_box(x=x_max + 5, z=20.0, yaw=yaw),
+                 make_box(x=0.0, z=z_min - 5, yaw=yaw), make_box(x=0.0, z=z_max + 5, yaw=yaw)]
+        assert not self.assert_same(boxes).any()
+
+    def test_touching_and_overlapping_axis_aligned(self):
+        # edges on cell boundaries, on one another and one ulp off a boundary
+        template = BevGrid(rows=20, cols=20, extent=(0.0, 10.0, 0.0, 10.0))
+        boxes = [make_box(x=2.0, z=3.0, l=2.0, w=2.0), make_box(x=4.0, z=3.0, l=2.0, w=2.0),
+                 make_box(x=3.0, z=4.0, l=2.0, w=1.0, yaw=math.pi / 2), make_box(x=7.25, z=7.25, l=1.5, w=0.5)]
+        self.assert_same(boxes, template)
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            boxes = []
+            for _ in range(rng.integers(1, 6)):
+                x0, z0 = (float(np.nextafter(v, v + rng.choice([-1.0, 1.0]))) if rng.random() < 0.5 else v
+                          for v in (0.5 * rng.integers(0, 18), 0.5 * rng.integers(0, 18)))
+                x1, z1 = x0 + 0.5 * rng.integers(1, 6), z0 + 0.5 * rng.integers(1, 6)
+                boxes.append(make_box(x=0.5 * (x0 + x1), z=0.5 * (z0 + z1), w=x1 - x0, l=z1 - z0))
+            self.assert_same(boxes, template)
+            self.assert_same(boxes)
+
+    def test_sliver_midpoint_on_the_rectangle(self):
+        # the x segment between a cell edge and a rectangle edge one ulp away
+        # counts when its midpoint rounds onto the rectangle, which depends
+        # on the edge's last mantissa bit: try every cell edge, on both sides
+        x_min, dw = ODD_GRID.extent[0], ODD_GRID.cell_width
+        for j in range(1, ODD_GRID.cols):
+            edge = x_min + j * dw
+            for x0 in (float(np.nextafter(edge, -np.inf)), float(np.nextafter(edge, np.inf))):
+                w = 1.5 * dw
+                self.assert_same([make_box(x=x0 + 0.5 * w, z=20.0, w=w, l=1.0)])
+                self.assert_same([make_box(x=x0 - 0.5 * w, z=20.0, w=w, l=1.0)])
 
 
 class TestGridDice:

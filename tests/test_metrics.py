@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlab.geometry import BevGrid, Box3D, iou3d
+from bevlab.geometry import BevGrid, Box3D, BoxArray, bev_iou, iou3d
 from bevlab.metrics import (
     ALL_BIN,
     DEFAULT_BINS,
     FrameSet,
+    _Pairs,
     average_precision,
     bin_label,
     center_nms,
@@ -145,6 +147,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([])
 
+    def test_empty_thresholds_rejected(self):
+        with pytest.raises(ValueError, match="iou thresholds must be non-empty"):
+            evaluate([frame([box(score=0.9)], [box()])], thresholds=())
+
     @pytest.mark.parametrize(
         "bins",
         [
@@ -171,6 +177,184 @@ class TestEvaluate:
                 curve = got.curves[key]
                 assert curve.ap == pytest.approx(ap, abs=1e-12), key
                 assert (curve.n_gt, curve.n_pred) == (n_gt, n_pred)
+
+
+# Lattice boxes: centres on a 0.5 m grid, sides of whole meters and yaws in
+# steps of pi/4 (and one other), so that edges touch and run collinear
+# (within _CLIP_EPS), IoUs tie and GTs repeat.
+lattice_box = st.builds(
+    box,
+    x=st.integers(-6, 6).map(lambda k: 0.5 * k),
+    z=st.integers(14, 26).map(lambda k: 0.5 * k),
+    l=st.sampled_from([1.0, 2.0, 3.0, 6.0]),
+    w=st.sampled_from([1.0, 2.0]),
+    h=st.sampled_from([1.0, 1.5]),
+    y=st.sampled_from([0.0, 0.5, 2.0]),
+    yaw=st.sampled_from([0.0, math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, 0.3]),
+    category=st.sampled_from(["car", "truck"]),
+)
+
+
+@st.composite
+def lattice_frames(draw, max_frames=2):
+    frames = []
+    for fi in range(draw(st.integers(1, max_frames))):
+        gts = draw(st.lists(lattice_box, max_size=3))
+        if gts and draw(st.booleans()):
+            gts.append(gts[draw(st.integers(0, len(gts) - 1))])  # a duplicate GT
+        preds = []
+        for _ in range(draw(st.integers(0, 4))):
+            score = draw(st.sampled_from([0.2, 0.5, 0.9]))  # equal scores are common
+            if gts and draw(st.booleans()):
+                gt = gts[draw(st.integers(0, len(gts) - 1))]
+                shift = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+                preds.append(replace(gt, x=gt.x + draw(shift), z=gt.z + draw(shift), score=score))
+            else:
+                preds.append(draw(lattice_box).with_score(score))
+        frames.append(frame(preds, gts, f"f{fi}"))
+    return frames
+
+
+class TestColumnarCore:
+    @given(lattice_frames())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_matches_oracle(self, frames):
+        thresholds = (0.5, 0.25, 0.1)
+        got = evaluate(frames, thresholds=thresholds, bins=DEFAULT_BINS, iou_fn=iou3d)
+        want = oracle_evaluate(frames, thresholds, DEFAULT_BINS, iou3d)
+        assert set(got.curves) == set(want)
+        for key, (ap, n_gt, n_pred) in want.items():
+            curve = got.curves[key]
+            assert abs(curve.ap - ap) <= 1e-12, key
+            assert (curve.n_gt, curve.n_pred) == (n_gt, n_pred)
+
+    @given(lattice_frames(max_frames=1))
+    @settings(max_examples=300, deadline=None)
+    def test_prefilter_keeps_every_overlapping_pair(self, frames):
+        (f,) = frames
+        pairs = _Pairs([f], iou3d)
+        candidates = dict(zip(zip(pairs.pred_idx.tolist(), pairs.gt_idx.tolist()), pairs.iou.tolist()))
+        for i, p in enumerate(f.predictions):
+            for j, g in enumerate(f.ground_truths):
+                if p.category == g.category and iou3d(p, g) > 0:
+                    assert (i, j) in candidates
+        # each candidate's IoU is the scalar one, bit for bit
+        for (i, j), iou in candidates.items():
+            assert iou == iou3d(f.predictions[i], f.ground_truths[j])
+
+    @given(lattice_frames(max_frames=1))
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_matches_scalar_loop(self, frames):
+        # which of two equal-IoU GTs a prediction takes leaves AP unchanged,
+        # so the matches themselves are compared
+        (f,) = frames
+        for cat in ("car", "truck"):
+            for thr in (0.5, 0.25, 0.1):
+                assert match_greedy(f, cat, thr) == _scalar_match_greedy(f, cat, thr)
+
+    def test_prefilter_keeps_corner_to_corner_pairs(self):
+        # two boxes whose corners point at each other on the line of centres:
+        # the circumcircles meet just where the footprints do
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            la, wa, lb, wb = rng.uniform(0.5, 12, 4)
+            ya = float(rng.uniform(-math.pi, math.pi))
+            ra, rb = 0.5 * math.hypot(la, wa), 0.5 * math.hypot(lb, wb)
+            # footprint corner 0 lies at angle atan2(l, w) - yaw from the centre
+            beta = math.atan2(la, wa) - ya
+            gap = float(rng.choice([-1e-2, -1e-4, 1e-4]))
+            dist = ra + rb + gap
+            a = box(x=0.0, z=0.0, l=la, w=wa, yaw=ya, score=0.5)
+            b = box(x=dist * math.cos(beta), z=dist * math.sin(beta), l=lb, w=wb,
+                    yaw=math.atan2(lb, wb) - (beta + math.pi))
+            pairs = _Pairs([frame([a], [b])], iou3d)
+            iou = iou3d(a, b)
+            assert (iou > 0) == (gap < 0)
+            if iou > 0:
+                assert pairs.pred_idx.tolist() == [0] and pairs.iou.tolist() == [iou]
+
+    def test_rotated_pairs_twin_is_bit_identical(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            preds, gts = [], []
+            for _ in range(6):
+                gt = box(x=float(rng.uniform(-4, 4)), z=float(rng.uniform(6, 14)), l=float(rng.uniform(1, 8)),
+                         w=float(rng.uniform(0.5, 3)), h=float(rng.uniform(0.5, 3)), y=float(rng.uniform(-1, 1)),
+                         yaw=float(rng.uniform(-4, 4)))
+                gts.append(gt)
+                preds.append(replace(gt, x=gt.x + float(rng.normal(0, 1)), yaw=gt.yaw + float(rng.normal(0, 0.3)),
+                                     score=0.5))
+            f = frame(preds, gts)
+            for iou_fn in (iou3d, bev_iou):
+                pairs = _Pairs([f], iou_fn)
+                for i, j, iou in zip(pairs.pred_idx.tolist(), pairs.gt_idx.tolist(), pairs.iou.tolist()):
+                    assert iou == iou_fn(preds[i], gts[j])
+
+    def test_columnar_frame_equals_box_lists(self):
+        rng = np.random.default_rng(37)
+        names = ("car", "truck", "bus")
+        for _ in range(20):
+            n_pred, n_gt = rng.integers(0, 12), rng.integers(1, 8)
+            centres = rng.uniform(-6, 6, (n_gt, 2))
+
+            def values(n, jitter):
+                v = np.empty((n, 7))
+                v[:, [0, 2]] = centres[rng.integers(0, n_gt, n)] + rng.normal(0, jitter, (n, 2))
+                v[:, 1] = 0.0
+                v[:, 3:6] = rng.uniform(0.5, 12, (n, 3))
+                v[:, 6] = rng.uniform(-10, 10, n)  # wrapped into (-pi, pi] by both
+                return v
+
+            pv, gv = values(n_pred, 0.5), values(n_gt, 0.0)
+            pc, gc = rng.integers(0, 3, n_pred), rng.integers(0, 3, n_gt)
+            ps = rng.choice([0.25, 0.5, rng.random()], n_pred)
+            columnar = FrameSet.from_columns("f", BoxArray(pv, pc, names, ps), BoxArray(gv, gc, names))
+            listed = FrameSet(
+                "f",
+                [Box3D(*v, category=names[c], score=s) for v, c, s in zip(pv.tolist(), pc.tolist(), ps.tolist())],
+                [Box3D(*v, category=names[c]) for v, c in zip(gv.tolist(), gc.tolist())],
+            )
+            assert columnar.predictions == listed.predictions
+            assert columnar.ground_truths == listed.ground_truths
+            a, b = evaluate([columnar]), evaluate([listed])
+            assert a.categories == b.categories and a.map_per_threshold == b.map_per_threshold
+            assert list(a.curves) == list(b.curves)
+            for key, curve in a.curves.items():
+                other = b.curves[key]
+                assert (curve.points, curve.ap, curve.n_gt, curve.n_pred) == (
+                    other.points, other.ap, other.n_gt, other.n_pred)
+
+    def test_columns_validated_like_boxes(self):
+        good = np.array([[0.0, 0.0, 10.0, 4.0, 2.0, 1.5, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            BoxArray(np.array([[0.0, 0.0, np.nan, 4.0, 2.0, 1.5, 0.0]]), [0], ("car",))
+        with pytest.raises(ValueError, match="dimensions"):
+            BoxArray(np.array([[0.0, 0.0, 10.0, 0.0, 2.0, 1.5, 0.0]]), [0], ("car",))
+        with pytest.raises(ValueError, match="score"):
+            BoxArray(good, [0], ("car",), [1.5])
+        with pytest.raises(ValueError, match="codes"):
+            BoxArray(good, [1], ("car",))
+        with pytest.raises(ValueError, match="prediction without score"):
+            FrameSet.from_columns("f", BoxArray(good, [0], ("car",)), BoxArray(good, [0], ("car",)))
+
+
+def _scalar_match_greedy(frame, category, iou_threshold, iou_fn=iou3d):
+    """The per-object greedy loop the columnar matcher replaced."""
+    preds = [(i, p) for i, p in enumerate(frame.predictions) if p.category == category]
+    gts = [(j, g) for j, g in enumerate(frame.ground_truths) if g.category == category]
+    taken, out = set(), []
+    for i, pred in sorted(preds, key=lambda ib: -ib[1].score):
+        best_j, best_iou = None, 0.0
+        for j, gt in gts:
+            if j in taken:
+                continue
+            iou = iou_fn(pred, gt)
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j is not None:
+            taken.add(best_j)
+        out.append((i, best_j))
+    return out
 
 
 def _random_frames(rng, n_frames=2, max_preds=4, max_gts=3):
