@@ -177,8 +177,8 @@ def theorem1_experiment(
 ) -> TheoremReport:
     """For each length and seed, train L1 / L2 / dice models on the idealized
     simulator and evaluate their AP3D on a fresh synthetic scene."""
-    if not sigma >= 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be >= 0 and finite")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     lengths = list(lengths)

@@ -413,7 +413,3 @@ def main(argv=None) -> int:
         return _error(str(exc), EXIT_INPUT_PARSE)
     except ValueError as exc:
         sub_parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

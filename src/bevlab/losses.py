@@ -49,7 +49,8 @@ class LossKind:
     """One member of the loss family: a variant tag plus its parameters.
 
     ``beta`` is required for ``smooth_l1`` (transition point, meters) and
-    ``length`` for ``dice`` (object length, meters); both must be positive.
+    ``length`` for ``dice`` (object length, meters); both must be positive
+    and finite.
     """
 
     kind: str
@@ -60,11 +61,11 @@ class LossKind:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "smooth_l1":
-            if self.beta is None or not self.beta > 0:
-                raise ValueError("smooth_l1 requires beta > 0")
+            if self.beta is None or not 0 < self.beta < math.inf:
+                raise ValueError("smooth_l1 requires a finite beta > 0")
         if self.kind == "dice":
-            if self.length is None or not self.length > 0:
-                raise ValueError("dice requires length > 0")
+            if self.length is None or not 0 < self.length < math.inf:
+                raise ValueError("dice requires a finite length > 0")
 
     @classmethod
     def l1(cls) -> "LossKind":
@@ -109,8 +110,8 @@ class NoiseModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -175,26 +176,17 @@ def loss_value(kind: LossKind, eta: float) -> float:
 
 
 def loss_gradient(kind: LossKind, eta: float) -> float:
-    """Gradient of the loss with respect to the residual.
-
-    At the measure-zero kinks: sign-based losses return 0 at eta = 0, and the
-    dice gradient keeps its interior value at |eta| = ell.
-    """
-    if kind.kind == "l1":
-        return float(np.sign(eta))
-    if kind.kind == "l2":
-        return eta
-    if kind.kind == "smooth_l1":
-        b = kind.beta
-        return min(max(eta, -b), b)
-    ell = kind.length
-    if abs(eta) <= ell:
-        return float(np.sign(eta)) / ell
-    return 0.0
+    """Gradient of the loss with respect to the residual: the scalar case of
+    :func:`gradient_array`."""
+    return float(gradient_array(kind, eta))
 
 
 def gradient_array(kind: LossKind, eta: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`loss_gradient` over an array of residuals."""
+    """Gradient of the loss at each residual.
+
+    At the measure-zero kinks: sign-based losses give 0 at eta = 0, and the
+    dice gradient keeps its interior value at |eta| = ell.
+    """
     eta = np.asarray(eta, dtype=np.float64)
     if kind.kind == "l1":
         return np.sign(eta)
@@ -242,8 +234,8 @@ def sigma_m(length: float) -> float:
 
 
 def _solve_sigma_m(length: float) -> tuple[float, float, int]:
-    if not length > 0:
-        raise ValueError("length must be > 0")
+    if not 0 < length < math.inf:
+        raise ValueError("length must be > 0 and finite")
     lo = 1e-6
     hi = max(1.0, 2.0 / length)
     while _fixed_point_residual(hi, length) < 0:  # defensive; bound proof says no
@@ -267,8 +259,6 @@ def sigma_c(length: float) -> ThresholdResult:
     For ``ell**2 >= 1`` the L1 comparison holds for every sigma, so the L1
     branch contributes 0; otherwise it is ``sqrt(2)/ell * erf_inv(ell**2)``.
     """
-    if not length > 0:
-        raise ValueError("length must be > 0")
     root, residual, iterations = _solve_sigma_m(length)
     if length * length >= 1.0:
         s_l1 = 0.0

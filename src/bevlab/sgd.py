@@ -2,26 +2,35 @@
 
 Two simulation modes:
 
-* ``idealized`` -- every gradient is ``h * eps(eta)`` with i.i.d. noise
-  ``eta ~ N(0, sigma^2)`` and features ``h ~ N(0, I_dim)``; this is exactly
-  the stochastic process the convergence decomposition assumes, so the mean
-  squared deviation from the optimal weight equals
-  ``s_T * dim * Var(eps) + ||w_init - w_star||^2``.
+* ``idealized`` -- every gradient is ``eps_j h_j`` with ``eps_j = eps(eta_j)``
+  for i.i.d. noise ``eta_j ~ N(0, sigma^2)`` and features ``h_j ~ N(0, I_dim)``
+  independent of it: exactly the process of the paper's Lemma 1.  After T
+  steps ``w_T = w_init - sum_j s_j eps_j h_j``.  Given the gradients, that sum
+  is a linear combination of independent standard normal vectors, so it is
+  exactly ``N(0, S I_dim)`` with ``S = sum_j s_j^2 eps_j^2``.  A trial
+  therefore draws its T noise values, then one ``z ~ N(0, I_dim)``, and
+  returns ``w_init - sqrt(S) z``: the same final weight distribution as T
+  feature draws, at ``dim`` normals instead of ``T * dim``.  Taking the
+  expectation gives Lemma 1, ``E||w_T - w_star||^2 = s_T * dim * Var(eps) +
+  ||w_init - w_star||^2`` (the noise is symmetric, so ``E eps = 0``).
 * ``literal`` -- the true residual ``w.h - z`` with noisy targets
   ``z = w_star.h - eta``; weight-dependent, provided for qualitative study.
+  A trial draws its T features, then its T noise values; a block of trials
+  steps together as one (trials, dim) weight array.
 
 Randomness is counter-based (Philox) and keyed per trial, so results are
-bitwise identical regardless of trial execution order or thread count.
+bitwise identical regardless of trial execution order or block size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import losses as _losses
 from .losses import LossKind, NoiseModel, closed_form_variance, gradient_array
 
 __all__ = [
@@ -42,6 +51,7 @@ __all__ = [
 _TRIAL_STREAM = 0x51D
 _GRAD_STREAM = 0x6EAD
 _ROW_STREAM = 0x5EED
+_BLOCK_BYTES = 4 << 20  # literal mode: feature draws of one block of trials, a few MB
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -58,8 +68,8 @@ class StepSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("inverse_j", "constant"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be > 0 and finite")
 
     def steps(self, t: int) -> np.ndarray:
         j = np.arange(1, t + 1, dtype=np.float64)
@@ -93,8 +103,8 @@ class SgdConfig:
             raise ValueError("dim, steps and trials must be >= 1")
         if self.mode not in ("idealized", "literal"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be >= 0 and finite")
         if self.w_star is None:
             self.w_star = np.zeros(self.dim)
         self.w_star = np.asarray(self.w_star, dtype=np.float64)
@@ -117,8 +127,13 @@ class TrialResult:
 class EnsembleStats:
     mean_deviation_sq: float
     std_error: float
-    empirical_grad_variance: float
     config_echo: SgdConfig
+
+    @cached_property
+    def empirical_grad_variance(self) -> float:
+        """Gradient variance of 10**6 fresh noise draws, drawn when first read."""
+        c = self.config_echo
+        return empirical_gradient_variance(c.loss, c.sigma, c.base_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -129,28 +144,43 @@ class ConvergenceFit:
     points: tuple[tuple[float, float], ...]
 
 
+def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Final weights (one row per trial) and their squared deviations from
+    the optimum.  Literal trials step a block of trials at a time."""
+    t, dim = config.steps, config.dim
+    s = config.schedule.steps(t)
+    w = np.empty((len(trials), dim))
+    if config.mode == "idealized":
+        for row, i in zip(w, trials):
+            rng = _rng(config.base_seed, i, _TRIAL_STREAM)
+            g = s * gradient_array(config.loss, rng.standard_normal(t) * config.sigma)
+            row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
+    else:
+        chunk = max(1, _BLOCK_BYTES // (8 * t * dim))
+        for start in range(0, len(trials), chunk):
+            rngs = [_rng(config.base_seed, i, _TRIAL_STREAM) for i in trials[start : start + chunk]]
+            block = w[start : start + len(rngs)]
+            h, eta = np.empty((len(rngs), t, dim)), np.empty((len(rngs), t))
+            for rng, h_trial, eta_trial in zip(rngs, h, eta):
+                rng.standard_normal(out=h_trial)
+                rng.standard_normal(out=eta_trial)
+            eta *= config.sigma
+            block[:] = config.w_init
+            for j in range(t):
+                hj = h[:, j]
+                # target and residual share one reduction, so w = w_star gives 0 exactly
+                target = (config.w_star * hj).sum(1) - eta[:, j]
+                resid = (block * hj).sum(1) - target
+                block -= (s[j] * gradient_array(config.loss, resid))[:, None] * hj
+    dev = w - config.w_star
+    return w, (dev * dev).sum(1)
+
+
 def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial of T SGD steps and report the squared deviation
     of the final weight from the optimum."""
-    rng = _rng(config.base_seed, trial_index, _TRIAL_STREAM)
-    t = config.steps
-    h = rng.standard_normal((t, config.dim))
-    eta = rng.standard_normal(t) * config.sigma
-    s = config.schedule.steps(t)
-    if config.mode == "idealized":
-        eps = gradient_array(config.loss, eta)
-        w = config.w_init - (s * eps) @ h
-    else:
-        w = config.w_init.copy()
-        loss = config.loss
-        w_star = config.w_star
-        for j in range(t):
-            hj = h[j]
-            target = w_star @ hj - eta[j]
-            resid = w @ hj - target
-            w -= s[j] * _losses.loss_gradient(loss, resid) * hj
-    dev = w - config.w_star
-    return TrialResult(final_weight=w, deviation_sq=float(dev @ dev), trial_index=trial_index)
+    w, dev_sq = _simulate(config, range(trial_index, trial_index + 1))
+    return TrialResult(final_weight=w[0], deviation_sq=float(dev_sq[0]), trial_index=trial_index)
 
 
 def empirical_gradient_variance(
@@ -173,19 +203,11 @@ def empirical_gradient_variance(
 
 
 def run_ensemble(config: SgdConfig) -> EnsembleStats:
-    """Average deviation over independent trials (reduced in trial order)."""
-    devs = np.empty(config.trials)
-    for i in range(config.trials):
-        devs[i] = run_trial(config, i).deviation_sq
-    mean = float(devs.mean())
+    """Average deviation over independent trials (reduced in trial order).
+    The gradient-variance draw is made only when its field is read."""
+    _, devs = _simulate(config, range(config.trials))
     se = float(devs.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
-    var, _ = empirical_gradient_variance(config.loss, config.sigma, config.base_seed)
-    return EnsembleStats(
-        mean_deviation_sq=mean,
-        std_error=se,
-        empirical_grad_variance=var,
-        config_echo=config,
-    )
+    return EnsembleStats(mean_deviation_sq=float(devs.mean()), std_error=se, config_echo=config)
 
 
 def fit_lemma1(points: Sequence[tuple[float, float]]) -> ConvergenceFit:
@@ -228,31 +250,17 @@ def sweep(
     Non-dice losses do not depend on the object length but the length column
     is still recorded so the table stays rectangular.
     """
-    lengths = list(lengths)
-    sigmas = list(sigmas)
-    losses = list(losses)
-    if not lengths or not sigmas or not losses:
+    axes = list(losses), list(lengths), list(sigmas)
+    if not all(axes):
         raise ValueError("sweep axes must be non-empty")
     beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
     rows: list[SweepRow] = []
-    row_index = 0
-    for loss_name in losses:
-        for length in lengths:
-            loss = LossKind.parse(loss_name, length, beta)
-            for sigma in sigmas:
-                seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
-                cfg = replace(template, loss=loss, sigma=sigma, base_seed=seed)
-                stats = run_ensemble(cfg)
-                rows.append(
-                    SweepRow(
-                        loss=loss_name,
-                        length=length,
-                        sigma=sigma,
-                        var_closed=closed_form_variance(loss, NoiseModel(sigma)),
-                        var_empirical=stats.empirical_grad_variance,
-                        mean_dev=stats.mean_deviation_sq,
-                        std_err=stats.std_error,
-                    )
-                )
-                row_index += 1
+    for row_index, (loss_name, length, sigma) in enumerate(itertools.product(*axes)):
+        loss = LossKind.parse(loss_name, length, beta)
+        seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
+        stats = run_ensemble(replace(template, loss=loss, sigma=sigma, base_seed=seed))
+        var_closed = closed_form_variance(loss, NoiseModel(sigma))
+        rows.append(SweepRow(loss=loss_name, length=length, sigma=sigma, var_closed=var_closed,
+                             var_empirical=stats.empirical_grad_variance, mean_dev=stats.mean_deviation_sq,
+                             std_err=stats.std_error))
     return rows

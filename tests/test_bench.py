@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bevlab import bench
 from bevlab.bench import (
     SceneConfig,
     generate_scene,
@@ -191,29 +192,49 @@ class TestTheorem1Experiment:
         with pytest.raises(ValueError, match="lengths must be non-empty"):
             theorem1_experiment([], sigma=0.5, sgd_template=self._template(), n_seeds=1)
 
-    def test_rows_pinned(self):
-        # rows of the per-object evaluator that scored each scene in frames
-        # of 25 rays; the columnar one must give them to the last bit
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma(self, sigma):
+        # the template's own sigma is finite; the experiment's must be too
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            theorem1_experiment([4.0], sigma=sigma, sgd_template=self._template(), n_seeds=1)
+
+    def test_rows_pinned(self, monkeypatch):
+        # rows of the idealized trainer's streams; scoring each trained
+        # weight's frame in frames of 25 rays of Box3D lists gives the same AP
+        # to the last bit
+        frames = []
+
+        def recording(scene, weight):
+            frames.append(simulate_predictions(scene, weight))
+            return frames[-1]
+
+        monkeypatch.setattr(bench, "simulate_predictions", recording)
         report = theorem1_experiment(
             [12.0, 4.0], sigma=0.5, sgd_template=self._template(), n_seeds=2, objects_per_category=2000
         )
         got = [(r.loss, r.length, r.seed, r.ap50, r.ap25, r.mean_abs_err) for r in report.rows]
         assert got == PINNED_ROWS
         assert all(r.sigma == 0.5 for r in report.rows)
+        assert len(frames) == len(report.rows)
+        for row, frame in zip(report.rows, frames):
+            split = evaluate(split_frames(frame), thresholds=(0.5, 0.25), iou_fn=ray_box_iou)
+            name = f"obj{row.length:g}m"
+            assert split.curves[(name, 0.5, ALL_BIN)].ap == row.ap50
+            assert split.curves[(name, 0.25, ALL_BIN)].ap == row.ap25
 
 
 # (loss, length, seed, ap50, ap25, mean_abs_err)
 PINNED_ROWS = [
-    ("l1", 12.0, 0, 0.7223557075674587, 0.9836618725682549, 2.3049605129727744),
-    ("l2", 12.0, 0, 0.9944362278465029, 1.0, 1.1278894390774634),
-    ("dice", 12.0, 0, 1.0, 1.0, 0.27729535008375716),
-    ("l1", 12.0, 1, 0.6799992332156273, 0.978660357462606, 2.4040124995014422),
-    ("l2", 12.0, 1, 1.0, 1.0, 0.7092583252098086),
-    ("dice", 12.0, 1, 1.0, 1.0, 0.22490450016582791),
-    ("l1", 4.0, 0, 0.04827796345608827, 0.15612218392556498, 3.553478934028621),
-    ("l2", 4.0, 0, 0.4554537884104073, 0.8736124053707202, 1.0765297771888114),
-    ("dice", 4.0, 0, 0.46914777648962547, 0.8771933407558801, 1.074633820433219),
-    ("l1", 4.0, 1, 0.15809011315692648, 0.42382719118806356, 2.0887648549542197),
-    ("l2", 4.0, 1, 0.5446693009836918, 0.9010673422588032, 0.9782264734078078),
-    ("dice", 4.0, 1, 0.9336190016286304, 1.0, 0.5172474934343787),
+    ("l1", 12.0, 0, 0.48379817532639247, 0.875823366827253, 3.1339641344796445),
+    ("l2", 12.0, 0, 0.33388151194917803, 0.7265484433006586, 4.031092427550379),
+    ("dice", 12.0, 0, 1.0, 1.0, 0.27932278828660134),
+    ("l1", 12.0, 1, 0.8034063945711647, 0.9954833746619902, 2.0453130503752104),
+    ("l2", 12.0, 1, 0.7760421159963844, 0.9952603466926953, 2.077849088811291),
+    ("dice", 12.0, 1, 1.0, 1.0, 0.32886236623301396),
+    ("l1", 4.0, 0, 0.21159662177107633, 0.5149394019084534, 1.7886660714008622),
+    ("l2", 4.0, 0, 0.2376575174119478, 0.5867781222131971, 1.6254991273721975),
+    ("dice", 4.0, 0, 0.8478505904521104, 0.9925621612199969, 0.6234584446013876),
+    ("l1", 4.0, 1, 0.07745987177633185, 0.2329763108012248, 2.9671294116822247),
+    ("l2", 4.0, 1, 0.3440858002629764, 0.7576743947662558, 1.2992380789960438),
+    ("dice", 4.0, 1, 0.4967686467317604, 0.8544152845066151, 1.0549111207867214),
 ]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bevlab
 from bevlab import boxio, gridio
 from bevlab.cli import EXIT_FLAGS, EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
 from bevlab.geometry import BevGrid, Box3D, rasterize
@@ -381,6 +386,22 @@ EMPTY_LIST_PROBES = [
 ]
 
 
+# a non-finite noise, length or beta value is a rejected flag value, with the library's message
+NON_FINITE_PROBES = {
+    "sgd-sigma-inf": ("sgd --loss l1 --sigma inf", "sigma must be >= 0 and finite"),
+    "sgd-sigma-nan": ("sgd --loss l2 --sigma nan", "sigma must be >= 0 and finite"),
+    "sgd-dice-length-inf": ("sgd --loss dice --length inf --sigma 0.5", "dice requires a finite length > 0"),
+    "sgd-smooth_l1-beta-inf": ("sgd --loss smooth_l1 --beta inf --sigma 0.5", "smooth_l1 requires a finite beta > 0"),
+    "variance-sigma-inf": ("variance --loss l1 --sigma inf", "sigma must be >= 0 and finite"),
+    "theorem1-sigma-inf": ("theorem1 --length 12 --sigma inf", "sigma must be >= 0 and finite"),
+    "theorem1-length-inf": ("theorem1 --length inf --sigma 0.5", "length must be > 0 and finite"),
+    "threshold-length-inf": ("threshold --length inf", "length must be > 0 and finite"),
+    "threshold-length-nan": ("threshold --length nan", "length must be > 0 and finite"),
+    "sweep-lengths-inf": ("sweep --lengths inf --sigmas 0.5 --losses dice", "dice requires a finite length > 0"),
+    "sweep-sigmas-nan": ("sweep --lengths 12 --sigmas nan --losses l1", "sigma must be >= 0 and finite"),
+}
+
+
 def run_probe(command, code, message, probe_files, capsys):
     try:
         got = main(command.format(**probe_files).split())
@@ -405,7 +426,19 @@ class TestBoundary:
     def test_empty_list_flag(self, command, code, message, probe_files, capsys):
         run_probe(command, code, message, probe_files, capsys)
 
+    @pytest.mark.parametrize("command,message", NON_FINITE_PROBES.values(), ids=NON_FINITE_PROBES.keys())
+    def test_non_finite_value(self, command, message, probe_files, capsys):
+        run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
+
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one
         run_probe("eval --pred {dir} --gt {gt_jsonl}", EXIT_INPUT_PARSE, "Is a directory", probe_files, capsys)
 
+
+def test_python_m_runs_the_cli():
+    src = Path(bevlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "bevlab", "threshold", "--length", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert "sigma_c=0.25" in done.stdout.splitlines()

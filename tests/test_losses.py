@@ -12,6 +12,7 @@ from bevlab.losses import (
     closed_form_variance,
     erf,
     erf_inv,
+    gradient_array,
     loss_gradient,
     loss_value,
     sigma_c,
@@ -118,6 +119,17 @@ class TestLossGradient:
             fd = (loss_value(kind, eta + step) - loss_value(kind, eta - step)) / (2 * step)
             assert loss_gradient(kind, eta) == pytest.approx(fd, abs=1e-6)
             checked += 1
+
+    @pytest.mark.parametrize(
+        "kind",
+        [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.7), LossKind.dice(1.8)],
+        ids=lambda k: k.label(),
+    )
+    def test_scalar_is_array_case(self, kind):
+        etas = [0.0, -0.0, 0.7, -0.7, 1.8, -1.8, 1e-300, -3.5, 2.25]
+        got = [loss_gradient(kind, eta) for eta in etas]
+        assert all(type(g) is float for g in got)
+        assert got == gradient_array(kind, np.array(etas)).tolist()
 
 
 class TestClosedFormVariance:
@@ -231,6 +243,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             sigma_c(-1.0)
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_non_finite_length(self, length):
+        with pytest.raises(ValueError, match="length must be > 0 and finite"):
+            sigma_c(length)
+        with pytest.raises(ValueError, match="length must be > 0 and finite"):
+            sigma_m(length)
+
 
 class TestLossKindValidation:
     def test_dice_needs_length(self):
@@ -267,3 +286,12 @@ class TestLossKindValidation:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            NoiseModel(value)
+        with pytest.raises(ValueError, match="dice requires a finite length > 0"):
+            LossKind.dice(value)
+        with pytest.raises(ValueError, match="smooth_l1 requires a finite beta > 0"):
+            LossKind.smooth_l1(value)

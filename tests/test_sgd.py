@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bevlab.losses import LossKind, NoiseModel, closed_form_variance
+from bevlab import sgd
+from bevlab.losses import LossKind, NoiseModel, closed_form_variance, gradient_array
 from bevlab.sgd import (
     SgdConfig,
     StepSchedule,
@@ -36,6 +37,11 @@ class TestStepSchedule:
             StepSchedule("exp")
         with pytest.raises(ValueError):
             StepSchedule(scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be > 0 and finite"):
+            StepSchedule(scale=scale)
 
 
 class TestRunTrial:
@@ -192,6 +198,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SgdConfig(dim=3, sigma=0.1, loss=LossKind.l1(), steps=10, w_star=np.zeros(2))
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            SgdConfig(dim=3, sigma=sigma, loss=LossKind.l1(), steps=10)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             SgdConfig(dim=3, sigma=0.1, loss=LossKind.l1(), steps=10, mode="adam")
@@ -203,3 +214,108 @@ class TestConfigValidation:
     def test_idealized_default_init_is_w_star(self):
         cfg = SgdConfig(dim=3, sigma=0.1, loss=LossKind.l1(), steps=10, w_star=np.ones(3))
         assert np.array_equal(cfg.w_init, np.ones(3))
+
+
+def _trial_rng(config, trial_index):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([config.base_seed, trial_index, 0x51D])))
+
+
+def old_idealized_deviation(config, trial_index):
+    """The idealized trial as it was before the N(0, S I) reduction: T feature
+    vectors drawn and summed."""
+    rng = _trial_rng(config, trial_index)
+    t = config.steps
+    h = rng.standard_normal((t, config.dim))
+    eta = rng.standard_normal(t) * config.sigma
+    w = config.w_init - (config.schedule.steps(t) * gradient_array(config.loss, eta)) @ h
+    dev = w - config.w_star
+    return float(dev @ dev)
+
+
+def old_scalar_gradient(kind, eta):
+    if kind.kind == "l1":
+        return float(np.sign(eta))
+    if kind.kind == "l2":
+        return eta
+    if kind.kind == "smooth_l1":
+        return min(max(eta, -kind.beta), kind.beta)
+    return float(np.sign(eta)) / kind.length if abs(eta) <= kind.length else 0.0
+
+
+def old_literal_weight(config, trial_index):
+    """The literal trial as it was before the block loop: T scalar steps."""
+    rng = _trial_rng(config, trial_index)
+    t = config.steps
+    h = rng.standard_normal((t, config.dim))
+    eta = rng.standard_normal(t) * config.sigma
+    s = config.schedule.steps(t)
+    w = config.w_init.copy()
+    for j in range(t):
+        target = config.w_star @ h[j] - eta[j]
+        resid = w @ h[j] - target
+        w -= s[j] * old_scalar_gradient(config.loss, resid) * h[j]
+    return w
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, at, side="right") / len(a)
+                        - np.searchsorted(b, at, side="right") / len(b)).max())
+
+
+class TestSimulatorAgainstOldPaths:
+    @pytest.mark.parametrize("loss", [LossKind.l1(), LossKind.l2(), LossKind.dice(1.0)], ids=["l1", "l2", "dice"])
+    def test_idealized_same_distribution_as_feature_draws(self, loss):
+        n, alpha = 3000, 1e-3
+        old_cfg = SgdConfig(dim=4, sigma=0.5, loss=loss, steps=200, base_seed=71)
+        new_cfg = SgdConfig(dim=4, sigma=0.5, loss=loss, steps=200, base_seed=72)
+        old = [old_idealized_deviation(old_cfg, i) for i in range(n)]
+        new = [run_trial(new_cfg, i).deviation_sq for i in range(n)]
+        critical = math.sqrt(-math.log(alpha / 2) / 2) * math.sqrt(2 / n)
+        assert ks_statistic(old, new) <= critical
+
+    @pytest.mark.parametrize(
+        "loss", [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.5), LossKind.dice(2.0)],
+        ids=["l1", "l2", "smooth_l1", "dice"],
+    )
+    def test_literal_matches_scalar_loop(self, loss):
+        cfg = SgdConfig(dim=3, sigma=0.5, loss=loss, steps=300, mode="literal",
+                        w_star=np.array([1.0, -2.0, 0.5]), base_seed=8)
+        for i in range(15):
+            old = old_literal_weight(cfg, i)
+            new = run_trial(cfg, i).final_weight
+            assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+
+    @pytest.mark.parametrize("mode", ["idealized", "literal"])
+    def test_ensemble_across_blocks_equals_single_trials(self, mode, monkeypatch):
+        cfg = SgdConfig(dim=3, sigma=0.5, loss=LossKind.dice(2.0), steps=100, trials=7, mode=mode,
+                        w_star=np.array([1.0, -2.0, 0.5]), base_seed=6)
+        # literal blocks of 3, 3 and 1 trials
+        monkeypatch.setattr(sgd, "_BLOCK_BYTES", 3 * 8 * cfg.steps * cfg.dim)
+        single = [run_trial(cfg, i) for i in range(cfg.trials)]
+        weights, dev_sq = sgd._simulate(cfg, range(cfg.trials))
+        assert np.array_equal(weights, [r.final_weight for r in single])
+        devs = np.array([r.deviation_sq for r in single])
+        assert np.array_equal(dev_sq, devs)
+        stats = run_ensemble(cfg)
+        assert stats.mean_deviation_sq == devs.mean()
+        assert stats.std_error == devs.std(ddof=1) / math.sqrt(cfg.trials)
+
+    def test_variance_drawn_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return empirical_gradient_variance(*args, **kwargs)
+
+        monkeypatch.setattr(sgd, "empirical_gradient_variance", counted)
+        cfg = SgdConfig(dim=2, sigma=0.7, loss=LossKind.dice(4.0), steps=50, trials=3, base_seed=12)
+        stats = run_ensemble(cfg)
+        assert calls == []
+        expected = empirical_gradient_variance(LossKind.dice(4.0), 0.7, 12)[0]
+        assert stats.empirical_grad_variance == expected
+        assert stats.empirical_grad_variance == expected
+        assert len(calls) == 1  # drawn once, on the first read
