@@ -4,19 +4,27 @@ One JSON object per line: ``frame`` (string), ``category`` (string),
 ``x y z l w h yaw`` (numbers, meters/radians) and optional ``score`` in
 [0, 1] -- its absence marks a ground-truth box.  Unknown keys are ignored;
 malformed lines raise :class:`BoxFormatError` carrying the line number.
+
+A file is read into columns (:class:`BoxLines`) and written from them.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+import math
+from itertools import chain
+from operator import itemgetter
 
-from .geometry import Box3D
+import numpy as np
 
-__all__ = ["BoxFormatError", "read_box_lines", "write_box_lines", "group_by_frame"]
+from .geometry import BoxArray
+
+__all__ = ["BoxFormatError", "BoxLines", "read_box_lines", "write_box_lines"]
 
 _REQUIRED = ("frame", "category", "x", "y", "z", "l", "w", "h", "yaw")
 _NUMERIC = ("x", "y", "z", "l", "w", "h", "yaw")
+_LABELS, _NUMBERS = itemgetter("frame", "category"), itemgetter(*_NUMERIC)
+_DECODE = json.JSONDecoder().raw_decode
 
 
 class BoxFormatError(ValueError):
@@ -26,70 +34,125 @@ class BoxFormatError(ValueError):
         self.line_no = line_no
 
 
-def read_box_lines(path) -> list[tuple[str, Box3D]]:
-    """Parse a JSONL box file into (frame_id, box) pairs in file order."""
-    records: list[tuple[str, Box3D]] = []
+class BoxLines:
+    """A box file as columns, in file order: ``boxes``, and each box's frame
+    as an index into ``frame_names`` (in order of first appearance)."""
+
+    def __init__(self, frame_codes, frame_names, boxes: BoxArray) -> None:
+        self.frame_codes, self.frame_names, self.boxes = np.asarray(frame_codes, np.intp), tuple(frame_names), boxes
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def frames(self) -> list[str]:
+        return [self.frame_names[c] for c in self.frame_codes.tolist()]
+
+    def take(self, rows) -> "BoxLines":
+        return BoxLines(self.frame_codes[rows], self.frame_names, self.boxes.take(rows))
+
+    def by_frame(self) -> dict[str, BoxArray]:
+        """Each frame's boxes in file order, frames in order of first appearance."""
+        order = np.argsort(self.frame_codes, kind="stable")
+        ends = np.cumsum(np.bincount(self.frame_codes, minlength=len(self.frame_names)))
+        return {f: self.boxes.take(rows) for f, rows in zip(self.frame_names, np.split(order, ends[:-1])) if len(rows)}
+
+
+def _codes(labels) -> tuple[list[int], tuple[str, ...]]:
+    """Each label's index into the distinct labels, in order of first appearance."""
+    names = tuple(dict.fromkeys(labels))
+    return list(map({name: k for k, name in enumerate(names)}.__getitem__, labels)), names
+
+
+def _parse(lines: list[str]):
+    """The JSON value of each line up to the first that is not valid JSON,
+    and that line's index and error, or None."""
+    values = []
+    for i, line in enumerate(lines):
+        try:
+            value, end = _DECODE(line)
+        except ValueError:  # JSONDecodeError, or an integer too long to convert
+            end = -1
+        if end != len(line):  # not one whole value: json.loads names the fault
+            try:
+                value = json.loads(line)
+            except ValueError as exc:
+                return values, (i, exc)
+        values.append(value)
+    return values, None
+
+
+def _fault(obj) -> str | None:
+    """The first fault of one parsed line, or None."""
+    if not isinstance(obj, dict):
+        return "expected a JSON object"
+    missing = [key for key in _REQUIRED if key not in obj]
+    if missing:
+        return f"missing key {missing[0]!r}"
+    not_numbers = [key for key in _NUMERIC if type(obj[key]) not in (int, float)]  # bool is not a number
+    if not_numbers:
+        return f"key {not_numbers[0]!r} must be a number"
+    score = obj.get("score")
+    if score is not None and (type(score) not in (int, float) or not 0 <= score <= 1):
+        return "score must be a number in [0, 1]"
+    try:
+        values = [float(obj[key]) for key in _NUMERIC]
+    except OverflowError as exc:
+        return str(exc)
+    if not (all(map(math.isfinite, values)) and min(values[3:6]) > 0):
+        return "box values must be finite and dimensions > 0"
+    return None
+
+
+def _screen(objs):
+    """Labels, values and scores of parsed lines; None if some line has a
+    fault (the checks of :func:`_fault`, on all lines at once)."""
+    try:
+        labels, numbers = [_LABELS(obj) for obj in objs], [_NUMBERS(obj) for obj in objs]
+        scores = [obj.get("score") for obj in objs]
+        kinds = set(map(type, chain.from_iterable(numbers)))
+        if kinds - {float, int} or set(map(type, scores)) - {float, int, type(None)}:
+            return None
+        # NumPy converts an int as float() does, OverflowError included; None reads as NaN
+        values, score_values = np.array(numbers, dtype=np.float64).reshape(-1, 7), np.array(scores, dtype=np.float64)
+    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, an int too large
+        return None
+    in_range = np.count_nonzero((score_values >= 0.0) & (score_values <= 1.0))
+    if not (np.isfinite(values).all() and (values[:, 3:6] > 0).all() and in_range + scores.count(None) == len(scores)):
+        return None
+    return labels, values, score_values
+
+
+def read_box_lines(path) -> BoxLines:
+    """Parse a JSONL box file into columns, boxes in file order.  The first
+    faulty line is reported, as checking the lines one by one reports it."""
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise BoxFormatError(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise BoxFormatError(path, line_no, "expected a JSON object")
-            for key in _REQUIRED:
-                if key not in obj:
-                    raise BoxFormatError(path, line_no, f"missing key {key!r}")
-            for key in _NUMERIC:
-                if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-                    raise BoxFormatError(path, line_no, f"key {key!r} must be a number")
-            score = obj.get("score")
-            if score is not None and (
-                isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1
-            ):
-                raise BoxFormatError(path, line_no, "score must be a number in [0, 1]")
-            try:
-                box = Box3D(
-                    x=float(obj["x"]),
-                    y=float(obj["y"]),
-                    z=float(obj["z"]),
-                    l=float(obj["l"]),
-                    w=float(obj["w"]),
-                    h=float(obj["h"]),
-                    yaw=float(obj["yaw"]),
-                    category=str(obj["category"]),
-                    score=None if score is None else float(score),
-                )
-            except (ValueError, OverflowError) as exc:
-                raise BoxFormatError(path, line_no, str(exc)) from exc
-            records.append((str(obj["frame"]), box))
-    return records
+        numbered = [(no, line) for no, line in enumerate(map(str.strip, fh.read().split("\n")), start=1) if line]
+    objs, bad_json = _parse([line for _, line in numbered])
+    columns = _screen(objs)
+    if columns is None:
+        for (line_no, _), obj in zip(numbered, objs):
+            message = _fault(obj)
+            if message is not None:
+                raise BoxFormatError(path, line_no, message)
+    if bad_json is not None:
+        i, exc = bad_json
+        raise BoxFormatError(path, numbered[i][0], f"invalid JSON: {exc}") from exc
+    labels, values, scores = columns
+    frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
+    codes, names = _codes([str(category) for _, category in labels])
+    return BoxLines(frame_codes, frame_names, BoxArray(values, codes, names, scores))
 
 
-def write_box_lines(records: Iterable[tuple[str, Box3D]], path) -> None:
+_LINE = '{"frame": %s, "category": %s, "x": %r, "y": %r, "z": %r, "l": %r, "w": %r, "h": %r, "yaw": %r'
+
+
+def write_box_lines(lines: BoxLines, path) -> None:
+    """One line per box, as ``json.dumps`` writes the box's object (``score``
+    only where the box has one)."""
+    frames, categories = [list(map(json.dumps, names)) for names in (lines.frame_names, lines.boxes.names)]
+    boxes = lines.boxes
+    rows = zip(lines.frame_codes.tolist(), boxes.codes.tolist(), boxes.values.tolist(), boxes.scores.tolist())
     with open(path, "w") as fh:
-        for frame, box in records:
-            obj = {
-                "frame": frame,
-                "category": box.category,
-                "x": box.x,
-                "y": box.y,
-                "z": box.z,
-                "l": box.l,
-                "w": box.w,
-                "h": box.h,
-                "yaw": box.yaw,
-            }
-            if box.score is not None:
-                obj["score"] = box.score
-            fh.write(json.dumps(obj) + "\n")
-
-
-def group_by_frame(records: Iterable[tuple[str, Box3D]]) -> dict[str, list[Box3D]]:
-    frames: dict[str, list[Box3D]] = {}
-    for frame, box in records:
-        frames.setdefault(frame, []).append(box)
-    return frames
+        for frame, category, values, score in rows:
+            tail = "}\n" if math.isnan(score) else ', "score": %r}\n' % score
+            fh.write(_LINE % (frames[frame], categories[category], *values) + tail)

@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bench, boxio, geometry, gridio, metrics, reports, sgd
 from .losses import LossKind, NoiseModel, closed_form_variance, sigma_c
 from .metrics import DEFAULT_BINS, FrameSet
@@ -193,18 +195,19 @@ def cmd_theorem1(args) -> int:
 
 
 def _frames_from_files(pred_path, gt_path) -> list[FrameSet]:
-    preds = boxio.group_by_frame(boxio.read_box_lines(pred_path))
-    gts = boxio.group_by_frame(boxio.read_box_lines(gt_path))
-    for frame, boxes in preds.items():
-        for box in boxes:
-            if box.score is None:
-                raise InputParseError(f"{pred_path}: frame {frame!r} has an unscored prediction")
-    if not preds and not gts:
+    preds, gts = boxio.read_box_lines(pred_path), boxio.read_box_lines(gt_path)
+    unscored = np.isnan(preds.boxes.scores)
+    if unscored.any():
+        frame = preds.frame_names[preds.frame_codes[unscored].min()]
+        raise InputParseError(f"{pred_path}: frame {frame!r} has an unscored prediction")
+    if not len(preds) and not len(gts):
         raise InputParseError(f"{pred_path}, {gt_path}: no boxes to evaluate")
-    frames = []
-    for frame_id in sorted(set(preds) | set(gts)):
-        frames.append(FrameSet(frame_id, preds.get(frame_id, []), gts.get(frame_id, [])))
-    return frames
+    pred_frames, gt_frames = preds.by_frame(), gts.by_frame()
+    none = geometry.BoxArray((), (), ())
+    return [
+        FrameSet.from_columns(frame_id, pred_frames.get(frame_id, none), gt_frames.get(frame_id, none))
+        for frame_id in sorted(set(pred_frames) | set(gt_frames))
+    ]
 
 
 def _parse_bins(text: str):
@@ -239,25 +242,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    records = boxio.read_box_lines(args.input)
-    for frame, box in records:
-        if box.score is None:
-            raise InputParseError(f"{args.input}: frame {frame!r} has an unscored box; NMS requires scores")
-    out_records = []
-    for frame_id, boxes in boxio.group_by_frame(records).items():
-        for box in metrics.center_nms(boxes, args.radius):
-            out_records.append((frame_id, box))
-    _write(boxio.write_box_lines, out_records, args.out)
-    print(f"kept {len(out_records)} of {len(records)} boxes")
+    lines = boxio.read_box_lines(args.input)
+    unscored = np.flatnonzero(np.isnan(lines.boxes.scores))
+    if len(unscored):
+        frame = lines.frame_names[lines.frame_codes[unscored[0]]]
+        raise InputParseError(f"{args.input}: frame {frame!r} has an unscored box; NMS requires scores")
+    kept = lines.take(metrics.center_nms_rows(lines.frame_codes, lines.boxes, args.radius))
+    _write(boxio.write_box_lines, kept, args.out)
+    print(f"kept {len(kept)} of {len(lines)} boxes")
     return EXIT_OK
 
 
 def cmd_rasterize(args) -> int:
-    records = boxio.read_box_lines(args.input)
-    boxes = [box for _, box in records]
-    grid = geometry.rasterize(boxes, geometry.BevGrid(args.rows, args.cols, tuple(args.extent)))
+    lines = boxio.read_box_lines(args.input)
+    grid = geometry.rasterize(lines.boxes, geometry.BevGrid(args.rows, args.cols, tuple(args.extent)))
     _write(gridio.write_grid, grid, args.out)
-    print(f"rasterized {len(boxes)} boxes onto {args.rows}x{args.cols} grid -> {args.out}")
+    print(f"rasterized {len(lines)} boxes onto {args.rows}x{args.cols} grid -> {args.out}")
     return EXIT_OK
 
 

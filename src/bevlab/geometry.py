@@ -121,6 +121,12 @@ class BoxArray:
         scores = [math.nan if b.score is None else b.score for b in boxes]
         return cls(np.array(values, dtype=np.float64).reshape(-1, 7), codes, tuple(index), scores)
 
+    def take(self, rows) -> "BoxArray":
+        """The boxes at ``rows``, not checked again."""
+        out = object.__new__(BoxArray)
+        vars(out).update(values=self.values[rows], codes=self.codes[rows], names=self.names, scores=self.scores[rows])
+        return out
+
     def boxes(self) -> list[Box3D]:
         names = self.names
         return [
@@ -231,6 +237,9 @@ def _bev_key(box: Box3D) -> tuple[float, float, float, float, float]:
     return (box.x, box.z, box.l, box.w, box.yaw)
 
 
+_BEV_COLUMNS = [0, 2, 3, 4, 6]  # the _bev_key fields in a BoxArray values row
+
+
 def _footprint_intersection_area(ka, kb) -> float:
     """Exact overlap area of two footprints given as (x, z, l, w, yaw)."""
     # canonical operand order makes the clipping result exactly symmetric
@@ -289,13 +298,65 @@ def interval_overlaps(c1, l1, c2, l2) -> np.ndarray:
     return np.maximum(0.0, hi - lo)
 
 
+def _footprints(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner x and z, (K, 4) each, of the footprints of (K, 5) ``_bev_key``
+    rows, with _footprint's float operations (math.sin/cos per box)."""
+    x, z, l, w = (col[:, None] for col in keys.T[:4])
+    s, c = (np.array([f(v) for v in keys[:, 4].tolist()])[:, None] for f in (math.sin, math.cos))
+    hl, hw = 0.5 * l, 0.5 * w
+    a, b = np.hstack([hl, -hl, -hl, hl]), np.hstack([hw, hw, -hw, -hw])
+    return x + a * s + b * c, z + a * c - b * s
+
+
+def _signed_areas(xs: np.ndarray, zs: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """_signed_area of the first ``n`` vertices of each row, summed in the same order."""
+    rows, total = np.arange(len(xs)), np.zeros(len(xs))
+    for i in range(xs.shape[1]):
+        j = np.where(i + 1 < n, i + 1, 0)
+        total = np.where(i < n, total + (xs[:, i] * zs[rows, j] - xs[rows, j] * zs[:, i]), total)
+    return 0.5 * total
+
+
+def _clip_rows(xs, zs, n, ax, az, bx, bz):
+    """_clip_against_edge on every row at once: the polygon of each row (its
+    first ``n`` vertices) keeps the part left of its edge a->b.  Returns the
+    clipped vertices, padded, and their count per row."""
+    rows, col = np.arange(len(xs))[:, None], np.arange(xs.shape[1])
+    valid, nxt = col < n[:, None], np.where(col + 1 < n[:, None], col + 1, 0)
+    side = (bx - ax)[:, None] * (zs - az[:, None]) - (bz - az)[:, None] * (xs - ax[:, None])
+    inside = side >= -_CLIP_EPS
+    cross = valid & (inside != inside[rows, nxt])
+    t = side / np.where(cross, side - side[rows, nxt], 1.0)
+    # vertex i if inside, then the crossing on its edge to i + 1; emitted entries move to the front
+    shape = (len(xs), 2 * xs.shape[1])
+    points = [np.stack([v, v + t * (v[rows, nxt] - v)], axis=2).reshape(shape) for v in (xs, zs)]
+    emitted = np.stack([valid & inside, cross], axis=2).reshape(shape)
+    count = emitted.sum(axis=1)
+    order = np.argsort(~emitted, axis=1, kind="stable")[:, : max(count.max(initial=0), 1)]
+    return points[0][rows, order], points[1][rows, order], count
+
+
 def _footprint_overlaps(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Footprint intersection area of the row pairs ``rows`` of two (K, 7)
-    box value arrays, by the scalar clipping kernel; zero for other rows."""
+    box value arrays, zero for other rows: _footprint_intersection_area on
+    all rows at once, bit for bit."""
     area = np.zeros(len(a))
-    keys = [0, 2, 3, 4, 6]
-    for k, ka, kb in zip(rows.tolist(), a[rows][:, keys].tolist(), b[rows][:, keys].tolist()):
-        area[k] = _footprint_intersection_area(tuple(ka), tuple(kb))
+    ka, kb = a[rows][:, _BEV_COLUMNS], b[rows][:, _BEV_COLUMNS]
+    # the canonical operand order: the tuples compare as kb < ka
+    swap, tied = np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
+    for i in range(5):
+        swap, tied = swap | tied & (kb[:, i] < ka[:, i]), tied & (kb[:, i] == ka[:, i])
+    ka, kb = np.where(swap[:, None], kb, ka), np.where(swap[:, None], ka, kb)
+    n = np.full(len(rows), 4)
+    (px, pz), (cx, cz) = _footprints(ka), _footprints(kb)
+    for xs, zs in ((cx, cz), (px, pz)):  # orient edges so "inside" is the left side
+        flip = _signed_areas(xs, zs, n) < 0
+        xs[flip], zs[flip] = xs[flip, ::-1], zs[flip, ::-1]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        px, pz, n = _clip_rows(px, pz, n, cx[:, i], cz[:, i], cx[:, j], cz[:, j])
+        live = n >= 3
+        px, pz, n, cx, cz, rows = px[live], pz[live], n[live], cx[live], cz[live], rows[live]
+    area[rows] = np.abs(_signed_areas(px, pz, n))
     return area
 
 
@@ -462,11 +523,12 @@ def _rasterize_supersampled(boxes, grid: BevGrid) -> None:
 def rasterize(boxes, template: BevGrid) -> BevGrid:
     """Soft-occupancy rasterization of box footprints onto a fresh grid.
 
+    ``boxes`` is a :class:`BoxArray` or an iterable of :class:`Box3D`.
     Axis-aligned inputs take an exact interval-arithmetic path; rotated boxes
     fall back to 4x4 regular supersampling per cell.
     """
     grid = template.like()
-    boxes = list(boxes)
+    boxes = boxes.boxes() if isinstance(boxes, BoxArray) else list(boxes)
     if not boxes:
         return grid
     rects = [_axis_aligned_rect(b) for b in boxes]

@@ -38,6 +38,8 @@ def read_grid_binary(path) -> BevGrid:
         data = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
         if data.size != rows * cols:
             raise ValueError(f"{path}: truncated grid payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the grid payload")
     return BevGrid(rows, cols, (x0, x1, z0, z1), data.astype(np.float64).reshape(rows, cols))
 
 

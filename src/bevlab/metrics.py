@@ -38,6 +38,7 @@ __all__ = [
     "average_precision",
     "evaluate",
     "center_nms",
+    "center_nms_rows",
     "oracle_swap",
     "seg_miou",
 ]
@@ -374,31 +375,32 @@ def evaluate(
     )
 
 
-def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:
-    """Center-based 3D NMS: greedily keep the highest-score box and suppress
-    same-category boxes whose BEV center lies within ``radius`` meters.
+def center_nms_rows(groups: np.ndarray, boxes: BoxArray, radius: float = 4.0) -> np.ndarray:
+    """Center-based 3D NMS on columns: in each group (a frame), visit boxes by
+    descending score, ties in input order, and keep a box unless a kept box
+    of its category has its BEV center within ``radius`` meters.  Returns
+    the kept rows: groups by ascending code, then in visiting order."""
+    if not math.inf > radius > 0:
+        raise ValueError("radius must be > 0 and finite")
+    if np.isnan(boxes.scores).any():
+        raise ValueError("center_nms requires scored boxes")
+    by_score = np.argsort(-boxes.scores, kind="stable")
+    order = by_score[np.argsort(groups[by_score], kind="stable")]
+    key = (groups * len(boxes.names) + boxes.codes)[order].tolist()
+    keepers: dict[int, list[tuple[float, float]]] = {}  # kept centers of each group and category
+    kept = []
+    for i, k, x, z in zip(order.tolist(), key, boxes.values[order, 0].tolist(), boxes.values[order, 2].tolist()):
+        near = keepers.setdefault(k, [])
+        if all(math.hypot(kx - x, kz - z) >= radius for kx, kz in near):
+            near.append((x, z))
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
 
-    Output is sorted by descending score; score ties keep input order.
-    """
-    if not radius > 0:
-        raise ValueError("radius must be > 0")
-    for box in boxes:
-        if box.score is None:
-            raise ValueError("center_nms requires scored boxes")
-    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
-    kept: list[Box3D] = []
-    for i in order:
-        box = boxes[i]
-        suppressed = False
-        for keeper in kept:
-            if keeper.category != box.category:
-                continue
-            if math.hypot(keeper.x - box.x, keeper.z - box.z) < radius:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(box)
-    return kept
+
+def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:
+    """:func:`center_nms_rows` on one frame: kept boxes by descending score, ties in input order."""
+    rows = center_nms_rows(np.zeros(len(boxes), dtype=np.intp), BoxArray.from_boxes(boxes), radius)
+    return [boxes[i] for i in rows.tolist()]
 
 
 _SWAPPABLE = ("x", "y", "z", "l", "w", "h", "yaw")
@@ -436,7 +438,10 @@ def seg_miou(
     Intersections and unions accumulate over all frames before dividing;
     frames where both grids are empty contribute nothing.  Categories whose
     accumulated union stays empty are excluded from the means.
+    A cell is foreground when its value reaches ``binarize_threshold``, in (0, 1].
     """
+    if not 0.0 < binarize_threshold <= 1.0:
+        raise ValueError("binarize_threshold must be in (0, 1]")
     per_category: dict[str, float] = {}
     for cat, grid_pairs in pairs.items():
         inter = union = 0

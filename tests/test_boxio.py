@@ -1,0 +1,295 @@
+"""The columnar box-file path against the per-box one it replaced.
+
+``legacy_read_box_lines``, ``legacy_write_box_lines`` and
+``legacy_center_nms`` are copies of the reader, writer and NMS loop that
+built one ``Box3D`` per line; the columnar ones must give the same boxes,
+bytes, kept rows and error messages.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bevlab.boxio import BoxFormatError, BoxLines, read_box_lines, write_box_lines
+from bevlab.geometry import Box3D, BoxArray
+from bevlab.metrics import center_nms, center_nms_rows
+
+_REQUIRED = ("frame", "category", "x", "y", "z", "l", "w", "h", "yaw")
+_NUMERIC = ("x", "y", "z", "l", "w", "h", "yaw")
+
+
+def legacy_read_box_lines(path):
+    records = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise BoxFormatError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise BoxFormatError(path, line_no, "expected a JSON object")
+            for key in _REQUIRED:
+                if key not in obj:
+                    raise BoxFormatError(path, line_no, f"missing key {key!r}")
+            for key in _NUMERIC:
+                if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
+                    raise BoxFormatError(path, line_no, f"key {key!r} must be a number")
+            score = obj.get("score")
+            if score is not None and (
+                isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1
+            ):
+                raise BoxFormatError(path, line_no, "score must be a number in [0, 1]")
+            try:
+                box = Box3D(
+                    x=float(obj["x"]), y=float(obj["y"]), z=float(obj["z"]),
+                    l=float(obj["l"]), w=float(obj["w"]), h=float(obj["h"]), yaw=float(obj["yaw"]),
+                    category=str(obj["category"]), score=None if score is None else float(score),
+                )
+            except (ValueError, OverflowError) as exc:
+                raise BoxFormatError(path, line_no, str(exc)) from exc
+            records.append((str(obj["frame"]), box))
+    return records
+
+
+def legacy_write_box_lines(records, path):
+    with open(path, "w") as fh:
+        for frame, box in records:
+            obj = {"frame": frame, "category": box.category, "x": box.x, "y": box.y, "z": box.z,
+                   "l": box.l, "w": box.w, "h": box.h, "yaw": box.yaw}
+            if box.score is not None:
+                obj["score"] = box.score
+            fh.write(json.dumps(obj) + "\n")
+
+
+def legacy_center_nms(boxes, radius):
+    order = sorted(range(len(boxes)), key=lambda i: -boxes[i].score)
+    kept = []
+    for i in order:
+        box = boxes[i]
+        suppressed = False
+        for keeper in kept:
+            if keeper.category != box.category:
+                continue
+            if math.hypot(keeper.x - box.x, keeper.z - box.z) < radius:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(box)
+    return kept
+
+
+def bits(box: Box3D):
+    """A box's fields, floats by their bits (so -0.0 differs from 0.0)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in (
+        box.x, box.y, box.z, box.l, box.w, box.h, box.yaw, box.category, box.score))
+
+
+def outcome(read, path):
+    """("ok", box count, [(frame, box bits)]) or ("error", message) of one reader."""
+    try:
+        records = read(path)
+    except BoxFormatError as exc:
+        return "error", str(exc)
+    count = len(records)
+    if isinstance(records, BoxLines):
+        records = list(zip(records.frames(), records.boxes.boxes()))
+    return "ok", count, [(frame, bits(box)) for frame, box in records]
+
+
+# --------------------------------------------------------------- files
+
+@st.composite
+def box_object(draw, ints=False):
+    """A valid box object; its numbers are floats unless ``ints``, when some
+    may be ints."""
+    coordinate, dimension, yaw = st.floats(-60, 60), st.floats(0.05, 20), st.floats(-10, 10)
+    score = st.floats(0, 1) | st.none()
+    if ints:
+        coordinate, dimension = coordinate | st.integers(-60, 60), dimension | st.integers(1, 20)
+        yaw = yaw | st.integers(-4, 4)
+        score = score | st.sampled_from([0, 1])
+    obj = {
+        "frame": draw(st.sampled_from(["f0", "f1", "f2", 7, "é"])),
+        "category": draw(st.sampled_from(["car", "truck", 3.5])),
+        "x": draw(coordinate), "y": draw(coordinate), "z": draw(coordinate),
+        "l": draw(dimension), "w": draw(dimension), "h": draw(dimension),
+        "yaw": draw(yaw),
+    }
+    if draw(st.booleans()):
+        obj["score"] = draw(score)
+    if draw(st.integers(0, 4)) == 0:
+        obj["extra"] = [1, {"a": None}]
+    return obj
+
+
+def _replace_value(obj, key, literal):
+    """The JSON text of ``obj`` with ``key``'s value written as ``literal``."""
+    return json.dumps({**obj, key: "@@"}).replace('"@@"', literal)
+
+
+@st.composite
+def faulty_line(draw):
+    """The text of one line with one injected fault."""
+    obj = draw(box_object())
+    key = draw(st.sampled_from(_NUMERIC))
+    kind = draw(st.sampled_from([
+        "bad_json", "extra_data", "non_object", "missing_key", "bool", "string", "huge_int", "long_int", "nan",
+        "1e400", "score", "dimension",
+    ]))
+    if kind == "bad_json":
+        return json.dumps(obj)[: draw(st.integers(1, 20))]
+    if kind == "extra_data":
+        return json.dumps(obj) + draw(st.sampled_from([" x", ", {}", " 1", "}"]))
+    if kind == "non_object":
+        return draw(st.sampled_from(["[1, 2]", '"box"', "3", "null", "true"]))
+    if kind == "missing_key":
+        del obj[draw(st.sampled_from(_REQUIRED))]
+        return json.dumps(obj)
+    if kind == "bool":
+        return _replace_value(obj, key, "true")
+    if kind == "string":
+        return _replace_value(obj, key, '"1.5"')
+    if kind == "huge_int":
+        return _replace_value(obj, key, "1" + "0" * 400)
+    if kind == "long_int":
+        return _replace_value(obj, key, "1" * 5000)
+    if kind == "nan":
+        return _replace_value(obj, key, "NaN")
+    if kind == "1e400":
+        return _replace_value(obj, key, draw(st.sampled_from(["1e400", "-1e400", "Infinity"])))
+    if kind == "score":
+        return _replace_value(obj, "score", draw(st.sampled_from(["1.5", "-0.1", "NaN", "1e400", "true", '"0.5"',
+                                                                 "2", "1" + "0" * 400])))
+    return _replace_value(obj, draw(st.sampled_from(["l", "w", "h"])), draw(st.sampled_from(["0", "-1.0", "0.0"])))
+
+
+padding = st.sampled_from(["", " ", "\t", "\x0c", " \x0c\t", "\x1c"])
+blank = st.sampled_from(["", "   ", "\x0c", "\t \t"])
+
+
+@st.composite
+def box_file(draw, faults=(0, 2)):
+    """The lines of a box file: valid boxes, blank lines and up to two faults,
+    each line padded with whitespace that ``str.strip`` removes."""
+    ints = draw(st.integers(0, 3)) == 0
+    lines = [json.dumps(obj) for obj in draw(st.lists(box_object(ints), max_size=12))]
+    for _ in range(draw(st.integers(*faults))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faulty_line()))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    lines = [draw(padding) + line + draw(padding) for line in lines]
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
+
+
+def write_lines(directory, lines, newline, trailing):
+    path = Path(directory) / "boxes.jsonl"
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(lines) + (newline if trailing else ""))
+    return path
+
+
+class TestReadBoxLines:
+    @settings(max_examples=300, deadline=None)
+    @given(box_file())
+    def test_matches_per_line_reader(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, *spec)
+            assert outcome(read_box_lines, path) == outcome(legacy_read_box_lines, path)
+
+    def test_earlier_fault_beats_later_json_error(self, tmp_path):
+        good = json.dumps({"frame": "f", "category": "car", "x": 0.0, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0,
+                           "h": 1.0, "yaw": 0.0})
+        path = tmp_path / "boxes.jsonl"
+        path.write_text("\n".join([good, good.replace('"l": 1.0', '"l": true'), "{oops"]) + "\n")
+        assert outcome(read_box_lines, path) == ("error", f"{path}:2: key 'l' must be a number")
+        path.write_text("\n".join([good, "{oops", good.replace('"l": 1.0', '"l": true')]) + "\n")
+        assert outcome(read_box_lines, path)[1].startswith(f"{path}:2: invalid JSON")
+
+    def test_form_feed_is_stripped(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        line = json.dumps({"frame": "f", "category": "car", "x": 0.0, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0,
+                           "h": 1.0, "yaw": 0.0})
+        path.write_text("\x0c" + line + "\n")
+        assert len(read_box_lines(path)) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"a": [1,\n2]}\n',  # one value across two lines: each line alone is invalid
+        '{"a": [{},\n{"b": 1}]}\n{"c": 1}, {"d": 2}\n',
+        '{"a": 1} {"b": 2}\n',  # two values on one line
+    ])
+    def test_a_line_must_hold_one_whole_value(self, tmp_path, text):
+        path = tmp_path / "boxes.jsonl"
+        path.write_text(text)
+        assert outcome(read_box_lines, path) == outcome(legacy_read_box_lines, path)
+        assert outcome(read_box_lines, path)[1].startswith(f"{path}:1: invalid JSON")
+
+    @pytest.mark.parametrize("score", ["NaN", "1.5", "-0.0001", "Infinity"])
+    def test_bad_score_among_floats(self, tmp_path, score):
+        good = json.dumps({"frame": "f", "category": "car", "x": 0.5, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0,
+                           "h": 1.0, "yaw": 0.0, "score": 0.5})
+        path = tmp_path / "boxes.jsonl"
+        path.write_text("\n".join([good, good.replace("0.5}", score + "}")]) + "\n")
+        assert outcome(read_box_lines, path) == ("error", f"{path}:2: score must be a number in [0, 1]")
+
+
+class TestWriteBoxLines:
+    @settings(max_examples=100, deadline=None)
+    @given(box_file(faults=(0, 0)))
+    def test_bytes_equal_json_dumps_of_each_box(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, *spec)
+            new, old = Path(tmp) / "new.jsonl", Path(tmp) / "old.jsonl"
+            write_box_lines(read_box_lines(path), new)
+            legacy_write_box_lines(legacy_read_box_lines(path), old)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_box_count_is_len(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        boxes = BoxArray([[0, 0, 0, 1, 1, 1, 0]] * 3, [0, 0, 0], ("car",), [0.5, math.nan, 1.0])
+        write_box_lines(BoxLines([0, 1, 0], ("a", "b"), boxes), path)
+        lines = read_box_lines(path)
+        assert len(lines) == 3 and lines.frames() == ["a", "b", "a"]
+        assert [b.score for b in lines.boxes.boxes()] == [0.5, None, 1.0]
+
+
+# ------------------------------------------------------------------ NMS
+
+lattice_box = st.builds(
+    lambda frame, category, x, z, score: (frame, Box3D(x=x * 0.5, y=0.0, z=z * 0.5, l=2.0, w=1.0, h=1.5, yaw=0.0,
+                                                       category=category, score=score)),
+    st.sampled_from(["f2", "f0", "f1"]),
+    st.sampled_from(["car", "truck"]),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+)
+
+
+class TestCenterNmsRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lattice_box, max_size=40), st.sampled_from([0.5, 1.0, math.sqrt(2.0), 1.5, 4.0]))
+    def test_matches_per_frame_loop(self, records, radius):
+        index = {id(box): i for i, (_, box) in enumerate(records)}
+        frames: dict[str, list] = {}
+        for frame, box in records:
+            frames.setdefault(frame, []).append(box)
+        want = [index[id(box)] for boxes in frames.values() for box in legacy_center_nms(boxes, radius)]
+        codes = {frame: k for k, frame in enumerate(frames)}
+        groups = np.array([codes[frame] for frame, _ in records], dtype=np.intp)
+        got = center_nms_rows(groups, BoxArray.from_boxes([box for _, box in records]), radius)
+        assert got.tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(lattice_box, max_size=30), st.sampled_from([0.5, 1.0, 1.5]))
+    def test_center_nms_wrapper(self, records, radius):
+        boxes = [box for _, box in records]
+        assert [id(b) for b in center_nms(boxes, radius)] == [id(b) for b in legacy_center_nms(boxes, radius)]

@@ -208,7 +208,8 @@ class TestNms:
             ],
         )
         assert main(["nms", "--input", str(inp), "--out", str(out)]) == EXIT_OK
-        kept = boxio.read_box_lines(out)
+        lines = boxio.read_box_lines(out)
+        kept = list(zip(lines.frames(), lines.boxes.boxes()))
         assert len(kept) == 3
         f0_scores = [b.score for f, b in kept if f == "f0"]
         assert f0_scores == [0.9, 0.6]
@@ -224,6 +225,27 @@ class TestNms:
         inp = tmp_path / "boxes.jsonl"
         write_jsonl(inp, [box_record()])
         assert main(["nms", "--input", str(inp), "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_PARSE
+
+
+class TestUnscoredFrame:
+    """The frame an unscored-box error names: the frame of the first such
+    box in the file for nms; for eval, the first frame, in order of first
+    appearance, holding one."""
+
+    def _write(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        write_jsonl(path, [box_record(frame="A", score=0.9), box_record(frame="B"), box_record(frame="A", x=5.0)])
+        return str(path)
+
+    def test_nms(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        assert main(["nms", "--input", path, "--out", str(tmp_path / "o.jsonl")]) == EXIT_INPUT_PARSE
+        assert f"{path}: frame 'B' has an unscored box" in capsys.readouterr().err
+
+    def test_eval(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        assert main(["eval", "--pred", path, "--gt", path]) == EXIT_INPUT_PARSE
+        assert f"{path}: frame 'A' has an unscored prediction" in capsys.readouterr().err
 
 
 class TestRasterize:
@@ -402,6 +424,31 @@ NON_FINITE_PROBES = {
 }
 
 
+# a flag value outside the library's range: exit 2 with its message
+RANGE_PROBES = {
+    "nms-radius-inf": ("nms --input {pred_jsonl} --radius inf --out {out}.jsonl", "radius must be > 0 and finite"),
+    "nms-radius-1e400": ("nms --input {pred_jsonl} --radius 1e400 --out {out}.jsonl", "radius must be > 0 and finite"),
+    "nms-radius-nan": ("nms --input {pred_jsonl} --radius nan --out {out}.jsonl", "radius must be > 0 and finite"),
+    "seg-iou-threshold-nan": ("seg-iou --pairs {pairs_csv} --threshold nan", "binarize_threshold must be in (0, 1]"),
+    "seg-iou-threshold-inf": ("seg-iou --pairs {pairs_csv} --threshold inf", "binarize_threshold must be in (0, 1]"),
+    "seg-iou-threshold-2": ("seg-iou --pairs {pairs_csv} --threshold 2", "binarize_threshold must be in (0, 1]"),
+    "seg-iou-threshold-0": ("seg-iou --pairs {pairs_csv} --threshold 0", "binarize_threshold must be in (0, 1]"),
+    "seg-iou-threshold--1": ("seg-iou --pairs {pairs_csv} --threshold=-1", "binarize_threshold must be in (0, 1]"),
+}
+
+
+@pytest.fixture
+def range_probe_files(probe_files):
+    """The boundary probe files plus a valid grid-pair manifest and one
+    naming a .bevg file with a byte after its payload."""
+    directory = Path(probe_files["dir"])
+    small = directory / "small.bevg"
+    (directory / "trailing.bevg").write_bytes(small.read_bytes() + b"\0")
+    (directory / "pairs.csv").write_text(f"car,{small},{small}\n")
+    (directory / "trailing.csv").write_text(f"car,{small},{directory}/trailing.bevg\n")
+    return {**probe_files, "pairs_csv": str(directory / "pairs.csv"), "trailing_csv": str(directory / "trailing.csv")}
+
+
 def run_probe(command, code, message, probe_files, capsys):
     try:
         got = main(command.format(**probe_files).split())
@@ -429,6 +476,20 @@ class TestBoundary:
     @pytest.mark.parametrize("command,message", NON_FINITE_PROBES.values(), ids=NON_FINITE_PROBES.keys())
     def test_non_finite_value(self, command, message, probe_files, capsys):
         run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
+
+    @pytest.mark.parametrize("command,message", RANGE_PROBES.values(), ids=RANGE_PROBES.keys())
+    def test_out_of_range_value(self, command, message, range_probe_files, capsys):
+        run_probe(command, EXIT_FLAGS, message, range_probe_files, capsys)
+
+    def test_threshold_one_is_accepted(self, range_probe_files, capsys):
+        # both grids are empty, so the union is too
+        run_probe("seg-iou --pairs {pairs_csv} --threshold 1", EXIT_OK, "mean_foreground=nan", range_probe_files,
+                  capsys)
+
+    def test_grid_with_trailing_bytes_is_input_error(self, range_probe_files, capsys):
+        assert main(["seg-iou", "--pairs", range_probe_files["trailing_csv"]]) == EXIT_INPUT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {range_probe_files['trailing_csv']}:1: ") and "trailing bytes" in err
 
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one

@@ -18,7 +18,7 @@ from bevlab.geometry import (
     ray_iou,
 )
 from bevlab import gridio
-from bevlab.geometry import _axis_aligned_rect, _union_area_in_cell
+from bevlab.geometry import _axis_aligned_rect, _footprint_intersection_area, _footprint_overlaps, _union_area_in_cell
 
 
 def make_box(x=0.0, z=0.0, l=4.0, w=2.0, h=1.5, yaw=0.0, y=0.0, **kw):
@@ -150,6 +150,64 @@ def _mc_iou(a, b, rng, n):
     in_b = _point_in_footprint(b, xs, zs)
     union = np.sum(in_a | in_b)
     return np.sum(in_a & in_b) / union if union else 0.0
+
+
+def _scalar_overlaps(a, b):
+    return np.array([_footprint_intersection_area(tuple(ka), tuple(kb))
+                     for ka, kb in zip(a[:, [0, 2, 3, 4, 6]].tolist(), b[:, [0, 2, 3, 4, 6]].tolist())])
+
+
+def _lattice_values(rng, n):
+    """Box value rows on a coarse lattice: shared edges, collinear sides,
+    equal centres and right-angle yaws are common."""
+    return np.column_stack([
+        rng.integers(-4, 5, n) * 0.5, np.zeros(n), rng.integers(-4, 5, n) * 0.5, rng.integers(1, 6, n) * 1.0,
+        rng.integers(1, 4, n) * 1.0, np.ones(n), rng.integers(-3, 5, n) * (math.pi / 4),
+    ])
+
+
+class TestBatchedClipping:
+    """_footprint_overlaps clips all rows at once; it must equal the scalar
+    kernel bit for bit."""
+
+    def assert_bitwise(self, a, b):
+        got = _footprint_overlaps(a, b, np.arange(len(a)))
+        assert np.array_equal(got.view(np.int64), _scalar_overlaps(a, b).view(np.int64))
+
+    def test_lattice_pairs(self):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            a, b = _lattice_values(rng, 2000), _lattice_values(rng, 2000)
+            self.assert_bitwise(a, b)
+            self.assert_bitwise(b, a)
+            self.assert_bitwise(a, a)
+
+    def test_continuous_pairs(self):
+        rng = np.random.default_rng(47)
+        n = 5000
+        a = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(0, 2, n), rng.uniform(-3, 3, n),
+                             rng.uniform(0.5, 6, n), rng.uniform(0.5, 3, n), rng.uniform(1, 2, n),
+                             rng.uniform(-math.pi, math.pi, n)])
+        b = a.copy()
+        b[:, [0, 2]] += rng.normal(0, 1, (n, 2))
+        b[:, 6] += rng.normal(0, 0.5, n)
+        self.assert_bitwise(a, b)
+
+    @given(st.lists(st.tuples(boxes_strategy, boxes_strategy), min_size=1, max_size=20))
+    @settings(max_examples=100)
+    def test_hypothesis_pairs(self, pairs):
+        fields = lambda box: (box.x, box.y, box.z, box.l, box.w, box.h, box.yaw)  # noqa: E731
+        self.assert_bitwise(np.array([fields(a) for a, _ in pairs]), np.array([fields(b) for _, b in pairs]))
+
+    def test_rows_not_listed_are_zero(self):
+        rng = np.random.default_rng(53)
+        a, b = _lattice_values(rng, 50), _lattice_values(rng, 50)
+        rows = np.flatnonzero(rng.random(50) < 0.5)
+        got = _footprint_overlaps(a, b, rows)
+        want = np.zeros(50)
+        want[rows] = _scalar_overlaps(a[rows], b[rows])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert _footprint_overlaps(a, b, np.zeros(0, dtype=np.intp)).tolist() == [0.0] * 50
 
 
 class TestIou3d:
@@ -418,6 +476,13 @@ class TestGridIo:
     def test_bad_extent_rejected(self, extent):
         with pytest.raises(ValueError):
             BevGrid(rows=2, cols=2, extent=extent)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "grid.bevg"
+        gridio.write_grid(self._grid(), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            gridio.read_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bevg"

@@ -531,6 +531,16 @@ class TestSegMiou:
         with pytest.raises(ValueError):
             seg_miou({"car": [(self._grid([[1, 0]]), self._grid([[1], [0]]))]})
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 2.0, 1.0 + 1e-9, 0.0, -1.0])
+    def test_threshold_outside_unit_interval(self, threshold):
+        g = self._grid([[1, 0]])
+        with pytest.raises(ValueError, match=r"binarize_threshold must be in \(0, 1\]"):
+            seg_miou({"car": [(g, g)]}, binarize_threshold=threshold)
+
+    def test_threshold_one_counts_full_cells(self):
+        pred, gt = self._grid([[1, 0.5]]), self._grid([[1, 1]])
+        assert seg_miou({"car": [(pred, gt)]}, binarize_threshold=1.0).per_category["car"] == 0.5
+
 
 class TestBinLabel:
     def test_finite(self):
