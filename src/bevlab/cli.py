@@ -242,6 +242,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_nms(args) -> int:
+    metrics.check_ranges(radius=args.radius)
     lines = boxio.read_box_lines(args.input)
     unscored = np.flatnonzero(np.isnan(lines.boxes.scores))
     if len(unscored):
@@ -262,6 +263,7 @@ def cmd_rasterize(args) -> int:
 
 
 def cmd_seg_iou(args) -> int:
+    metrics.check_ranges(binarize_threshold=args.threshold)
     pairs: dict[str, list] = {}
     for line_no, (cat, pred_path, gt_path) in _read_manifest(args.pairs, "category,pred_path,gt_path"):
         try:
@@ -281,82 +283,79 @@ def cmd_seg_iou(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+_LOSS_FLAGS = (("--loss", dict(required=True)), ("--length", dict(type=float, default=None)),
+               ("--beta", dict(type=float, default=1.0)), ("--sigma", dict(type=float, required=True)))
+_ENSEMBLE_FLAGS = (("--trials", dict(type=int, default=200)), ("--steps", dict(type=int, default=1000)),
+                   ("--dim", dict(type=int, default=8)),
+                   ("--mode", dict(choices=["idealized", "literal"], default="idealized")))
+
+# name -> (function, help, flags beyond the shared ones): the one declaration of each sub-command
+COMMANDS = {
+    "variance": (cmd_variance, "closed-form and Monte Carlo gradient variance",
+                 _LOSS_FLAGS + (("--samples", dict(type=int, default=1_000_000)),)),
+    "threshold": (cmd_threshold, "critical noise threshold for an object length",
+                  (("--length", dict(type=float, required=True)),)),
+    "sweep": (cmd_sweep, "loss/length/sigma convergence sweep", (
+        ("--lengths", dict(type=_float_list, required=True)),
+        ("--sigmas", dict(type=_float_list, required=True)),
+        ("--losses", dict(type=_str_list, required=True)),
+        *_ENSEMBLE_FLAGS,
+        ("--format", dict(choices=["csv", "csv+svg"], default="csv")),
+        ("--log-y", dict(action="store_true")),
+    )),
+    "sgd": (cmd_sgd, "single Monte Carlo SGD ensemble", _LOSS_FLAGS + _ENSEMBLE_FLAGS),
+    "theorem1": (cmd_theorem1, "dice-vs-regression AP experiment", (
+        ("--length", dict(type=_float_list, required=True)),
+        ("--sigma", dict(type=float, required=True)),
+        ("--seeds", dict(type=int, default=20)),
+        ("--objects", dict(type=int, default=10_000)),
+        ("--steps", dict(type=int, default=5000)),
+        ("--dim", dict(type=int, default=16)),
+    )),
+    "eval": (cmd_eval, "AP3D evaluation of prediction/GT box files", (
+        ("--pred", dict(required=True)),
+        ("--gt", dict(required=True)),
+        ("--iou", dict(type=_float_list, default=(0.5, 0.25))),
+        ("--bins", dict(type=_parse_bins, default=DEFAULT_BINS)),
+        ("--groups", dict(default=None, help="CSV mapping category,group")),
+    )),
+    "nms": (cmd_nms, "center-based 3D NMS on a box file",
+            (("--input", dict(required=True)), ("--radius", dict(type=float, default=4.0)))),
+    "rasterize": (cmd_rasterize, "rasterize boxes onto a BEV grid", (
+        ("--input", dict(required=True)),
+        ("--rows", dict(type=int, required=True)),
+        ("--cols", dict(type=int, required=True)),
+        ("--extent", dict(type=_float_list, required=True)),
+    )),
+    "seg-iou": (cmd_seg_iou, "dataset-level segmentation IoU from grid pairs", (
+        ("--pairs", dict(required=True, help="CSV manifest: category,pred_path,gt_path")),
+        ("--threshold", dict(type=float, default=0.5)),
+    )),
+}
+
+
+def command_parser(name: str, p: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """The parser of sub-command ``name``, as the whole tree builds it (into
+    ``p``, if given): the shared flags, then its own."""
+    func, _, flags = COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"bevlab {name}") if p is None else p
+    p.set_defaults(func=func, command=name)
+    p.add_argument("--config", help="JSON file supplying flag defaults")
+    p.add_argument("--seed", type=int, default=0, help="base seed for all stochastic work")
+    p.add_argument("--deterministic", action="store_true", help="suppress timestamps in output headers")
+    p.add_argument("--out", default=None, help="output file path")
+    for flag, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: it answers ``-h`` and a missing or unknown command."""
     parser = argparse.ArgumentParser(prog="bevlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
-
-    def sub(name, func, **kwargs):
-        p = subs.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON file supplying flag defaults")
-        p.add_argument("--seed", type=int, default=0, help="base seed for all stochastic work")
-        p.add_argument("--deterministic", action="store_true", help="suppress timestamps in output headers")
-        p.add_argument("--out", default=None, help="output file path")
-        registry[name] = p
-        return p
-
-    def loss_flags(p):
-        p.add_argument("--loss", required=True)
-        p.add_argument("--length", type=float, default=None)
-        p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--sigma", type=float, required=True)
-
-    def ensemble_flags(p):
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--dim", type=int, default=8)
-        p.add_argument("--mode", choices=["idealized", "literal"], default="idealized")
-
-    p = sub("variance", cmd_variance, help="closed-form and Monte Carlo gradient variance")
-    loss_flags(p)
-    p.add_argument("--samples", type=int, default=1_000_000)
-
-    p = sub("threshold", cmd_threshold, help="critical noise threshold for an object length")
-    p.add_argument("--length", type=float, required=True)
-
-    p = sub("sweep", cmd_sweep, help="loss/length/sigma convergence sweep")
-    p.add_argument("--lengths", type=_float_list, required=True)
-    p.add_argument("--sigmas", type=_float_list, required=True)
-    p.add_argument("--losses", type=_str_list, required=True)
-    ensemble_flags(p)
-    p.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
-    p.add_argument("--log-y", action="store_true")
-
-    p = sub("sgd", cmd_sgd, help="single Monte Carlo SGD ensemble")
-    loss_flags(p)
-    ensemble_flags(p)
-
-    p = sub("theorem1", cmd_theorem1, help="dice-vs-regression AP experiment")
-    p.add_argument("--length", type=_float_list, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--objects", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--dim", type=int, default=16)
-
-    p = sub("eval", cmd_eval, help="AP3D evaluation of prediction/GT box files")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=_float_list, default=[0.5, 0.25])
-    p.add_argument("--bins", type=_parse_bins, default=DEFAULT_BINS)
-    p.add_argument("--groups", default=None, help="CSV mapping category,group")
-
-    p = sub("nms", cmd_nms, help="center-based 3D NMS on a box file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--radius", type=float, default=4.0)
-
-    p = sub("rasterize", cmd_rasterize, help="rasterize boxes onto a BEV grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--extent", type=_float_list, required=True)
-
-    p = sub("seg-iou", cmd_seg_iou, help="dataset-level segmentation IoU from grid pairs")
-    p.add_argument("--pairs", required=True, help="CSV manifest: category,pred_path,gt_path")
-    p.add_argument("--threshold", type=float, default=0.5)
-
-    return parser, registry
+    for name, (_, help_text, _) in COMMANDS.items():
+        command_parser(name, subs.add_parser(name, help=help_text))
+    return parser
 
 
 def _error(message: str, code: int) -> int:
@@ -394,14 +393,18 @@ def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> int:
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in registry:
-        code = _load_config(registry[argv[0]], argv[1:])
+    if argv and argv[0] in COMMANDS:  # only the invoked sub-command's parser is built
+        sub_parser = command_parser(argv[0])
+        code = _load_config(sub_parser, argv[1:])
         if code != EXIT_OK:
             return code
-    args = parser.parse_args(argv)
-    sub_parser = registry[args.command]
+        args, extra = sub_parser.parse_known_args(argv[1:])
+        if extra:  # reported by the whole tree, as when it parses the sub-command
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = build_parser().parse_args(argv)
+        sub_parser = command_parser(args.command)
     if args.command in ("nms", "rasterize") and not args.out:
         sub_parser.error(f"{args.command} requires --out")
     try:

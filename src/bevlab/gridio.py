@@ -24,7 +24,7 @@ _HEADER = struct.Struct("<4sII4d")
 def write_grid_binary(grid: BevGrid, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, grid.rows, grid.cols, *grid.extent))
-        fh.write(grid.cells.astype("<f4").tobytes())
+        fh.write(grid.cells.astype("<f4", order="C"))  # written through the buffer protocol, no bytes copy
 
 
 def read_grid_binary(path) -> BevGrid:

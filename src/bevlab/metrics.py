@@ -39,6 +39,7 @@ __all__ = [
     "evaluate",
     "center_nms",
     "center_nms_rows",
+    "check_ranges",
     "oracle_swap",
     "seg_miou",
 ]
@@ -126,9 +127,20 @@ class SegIoUReport:
     mean_all: float | None = None
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must be in (0, 1]")
+def _window_pairs(a_key: np.ndarray, a_lo: np.ndarray, a_hi: np.ndarray, b_key: np.ndarray, b_x: np.ndarray):
+    """Row pairs (i, j) with ``b_key[j] == a_key[i]`` and ``a_lo[i] <= b_x[j] <= a_hi[i]``:
+    the rows of b sorted by (key, x), and one searchsorted window per row of a."""
+
+    def keyed(key, x):  # complex numbers sort by real part, then imaginary
+        return np.column_stack([key, x]).view(np.complex128)[:, 0]
+
+    b = keyed(b_key, b_x)
+    order = np.argsort(b, kind="stable")
+    b = b[order]
+    lo = np.searchsorted(b, keyed(a_key, a_lo))
+    count = np.searchsorted(b, keyed(a_key, a_hi), "right") - lo
+    start = np.repeat(lo - (np.cumsum(count) - count), count)
+    return np.repeat(np.arange(len(a_key)), count), order[start + np.arange(count.sum())]
 
 
 def _stack(arrays: Sequence[BoxArray], index: Mapping[str, int]):
@@ -188,36 +200,18 @@ class _Pairs:
 
     def _candidates(self, pred_group: np.ndarray, gt_group: np.ndarray, prefilter: bool):
         """(prediction, GT) index pairs within each group; with ``prefilter``,
-        only those whose BEV circumcircles meet.  Each group's GTs are sorted
-        by x, and each prediction searches the x window its circle can reach."""
+        only those whose BEV circumcircles meet.  Each prediction searches the
+        x window its circle can reach among its group's GTs."""
         preds, gts = self.preds, self.gts
         pred_reach = 0.5 * np.hypot(preds[:, 3], preds[:, 4])
         gt_reach = 0.5 * np.hypot(gts[:, 3], gts[:, 4])
-        p_order = np.argsort(pred_group, kind="stable")
-        g_order = np.lexsort((gts[:, 0], gt_group))
-        size = max(pred_group.max(initial=-1), gt_group.max(initial=-1)) + 1
-        p_end = np.cumsum(np.bincount(pred_group, minlength=size))
-        g_end = np.cumsum(np.bincount(gt_group, minlength=size))
-        p_start = np.concatenate([[0], p_end[:-1]])
-        g_start = np.concatenate([[0], g_end[:-1]])
-        pairs_p, pairs_g = [], []
-        for k in np.flatnonzero((p_end > p_start) & (g_end > g_start)).tolist():
-            p = p_order[p_start[k] : p_end[k]]
-            g = g_order[g_start[k] : g_end[k]]
-            if prefilter:
-                half = pred_reach[p] + (gt_reach[g].max() + _REACH_SLACK)
-                gx = gts[g, 0]
-                lo = np.searchsorted(gx, preds[p, 0] - half)
-                hi = np.searchsorted(gx, preds[p, 0] + half, "right")
-            else:
-                lo, hi = np.zeros(len(p), dtype=np.intp), np.full(len(p), len(g))
-            count = hi - lo
-            start = np.repeat(lo - (np.cumsum(count) - count), count)
-            pairs_p.append(np.repeat(p, count))
-            pairs_g.append(g[start + np.arange(count.sum())])
-        if not pairs_p:
-            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        pi, gj = np.concatenate(pairs_p), np.concatenate(pairs_g)
+        if prefilter:
+            group_reach = np.zeros(max(pred_group.max(initial=-1), gt_group.max(initial=-1)) + 1)
+            np.maximum.at(group_reach, gt_group, gt_reach)
+            half = pred_reach + (group_reach[pred_group] + _REACH_SLACK)
+        else:
+            half = np.full(len(preds), math.inf)
+        pi, gj = _window_pairs(pred_group, preds[:, 0] - half, preds[:, 0] + half, gt_group, gts[:, 0])
         if prefilter:
             dist = np.hypot(preds[pi, 0] - gts[gj, 0], preds[pi, 2] - gts[gj, 2])
             meet = dist <= pred_reach[pi] + gt_reach[gj] + _REACH_SLACK
@@ -257,7 +251,7 @@ def match_greedy(
     Returns (prediction index, matched GT index or None) pairs in the visiting
     order; indices refer to the frame's full prediction/GT lists.
     """
-    _check_threshold(iou_threshold)
+    check_ranges(iou_threshold=iou_threshold)
     pairs = _Pairs([frame], iou_fn)
     if category not in pairs.categories:
         return []
@@ -315,7 +309,7 @@ def evaluate(
     if not thresholds:
         raise ValueError("iou thresholds must be non-empty")
     for thr in thresholds:
-        _check_threshold(thr)
+        check_ranges(iou_threshold=thr)
     if not (
         bins
         and bins[0][0] == 0
@@ -375,26 +369,42 @@ def evaluate(
     )
 
 
+def check_ranges(iou_threshold: float = 0.5, radius: float = 4.0, binarize_threshold: float = 0.5) -> None:
+    """The value rules of IoU thresholds, :func:`center_nms_rows` and :func:`seg_miou`; the CLI checks them first."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError("iou_threshold must be in (0, 1]")
+    if not math.inf > radius > 0:
+        raise ValueError("radius must be > 0 and finite")
+    if not 0.0 < binarize_threshold <= 1.0:
+        raise ValueError("binarize_threshold must be in (0, 1]")
+
+
 def center_nms_rows(groups: np.ndarray, boxes: BoxArray, radius: float = 4.0) -> np.ndarray:
     """Center-based 3D NMS on columns: in each group (a frame), visit boxes by
     descending score, ties in input order, and keep a box unless a kept box
     of its category has its BEV center within ``radius`` meters.  Returns
-    the kept rows: groups by ascending code, then in visiting order."""
-    if not math.inf > radius > 0:
-        raise ValueError("radius must be > 0 and finite")
+    the kept rows: groups by ascending code, then in visiting order.  Only
+    pairs found in a searchsorted window of ``radius`` are measured."""
+    check_ranges(radius=radius)
     if np.isnan(boxes.scores).any():
         raise ValueError("center_nms requires scored boxes")
     by_score = np.argsort(-boxes.scores, kind="stable")
     order = by_score[np.argsort(groups[by_score], kind="stable")]
-    key = (groups * len(boxes.names) + boxes.codes)[order].tolist()
-    keepers: dict[int, list[tuple[float, float]]] = {}  # kept centers of each group and category
-    kept = []
-    for i, k, x, z in zip(order.tolist(), key, boxes.values[order, 0].tolist(), boxes.values[order, 2].tolist()):
-        near = keepers.setdefault(k, [])
-        if all(math.hypot(kx - x, kz - z) >= radius for kx, kz in near):
-            near.append((x, z))
-            kept.append(i)
-    return np.array(kept, dtype=np.intp)
+    rank = np.argsort(order)
+    key, x, z = groups * len(boxes.names) + boxes.codes, boxes.values[:, 0], boxes.values[:, 2]
+    reach = radius + _REACH_SLACK
+    u, v = _window_pairs(key, x - reach, x + reach, key, x)
+    candidate = (rank[u] < rank[v]) & (np.abs(z[u] - z[v]) <= reach)
+    u, v = u[candidate], v[candidate]
+    near = np.array([math.hypot(dx, dz) < radius for dx, dz in zip((x[u] - x[v]).tolist(), (z[u] - z[v]).tolist())],
+                    dtype=bool)
+    u, v = u[near], v[near]
+    later = np.argsort(rank[v], kind="stable")
+    dropped = [False] * len(order)
+    for i, j in zip(u[later].tolist(), v[later].tolist()):
+        if not dropped[i]:
+            dropped[j] = True
+    return order[~np.array(dropped, dtype=bool)[order]]
 
 
 def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:
@@ -440,8 +450,7 @@ def seg_miou(
     accumulated union stays empty are excluded from the means.
     A cell is foreground when its value reaches ``binarize_threshold``, in (0, 1].
     """
-    if not 0.0 < binarize_threshold <= 1.0:
-        raise ValueError("binarize_threshold must be in (0, 1]")
+    check_ranges(binarize_threshold=binarize_threshold)
     per_category: dict[str, float] = {}
     for cat, grid_pairs in pairs.items():
         inter = union = 0
@@ -450,8 +459,9 @@ def seg_miou(
                 raise ValueError(f"category {cat!r}: grid dimension mismatch")
             p = pred.cells >= binarize_threshold
             g = gt.cells >= binarize_threshold
-            inter += int(np.sum(p & g))
-            union += int(np.sum(p | g))
+            common = int(np.count_nonzero(p & g))
+            inter += common
+            union += int(np.count_nonzero(p)) + int(np.count_nonzero(g)) - common
         per_category[cat] = inter / union if union else math.nan
     fg = set(foreground) if foreground is not None else set(pairs)
     fg_vals = [v for c, v in per_category.items() if c in fg and not math.isnan(v)]

@@ -115,6 +115,20 @@ class TestSimulatePredictions:
         assert report.map_per_threshold[0.5] == 1.0
         assert report.map_per_threshold[0.25] == 1.0
 
+    def test_category_codes_in_order_of_first_appearance(self):
+        # a repeated category name shares its first code, in the scene and in its frames
+        scene = generate_scene(small_config(categories=(("truck", 12.0), ("car", 4.0), ("truck", 12.0)),
+                                            objects_per_category=3))
+        assert scene.names == ("truck", "car")
+        assert scene.codes.tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 0]
+        assert [scene.names[c] for c in scene.codes] == scene.categories
+        frame = simulate_predictions(scene, scene.w_star)
+        for boxes in (frame.pred_boxes, frame.gt_boxes):
+            assert boxes.names == ("truck", "car") and boxes.codes.tolist() == scene.codes.tolist()
+        report = evaluate([frame], thresholds=(0.5,), iou_fn=ray_box_iou)
+        assert report.categories == ("car", "truck")
+        assert report.curves[("truck", 0.5, ALL_BIN)].n_gt == 6
+
     def test_weight_dim_mismatch(self):
         scene = generate_scene(small_config())
         with pytest.raises(ValueError):

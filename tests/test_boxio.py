@@ -3,7 +3,9 @@
 ``legacy_read_box_lines``, ``legacy_write_box_lines`` and
 ``legacy_center_nms`` are copies of the reader, writer and NMS loop that
 built one ``Box3D`` per line; the columnar ones must give the same boxes,
-bytes, kept rows and error messages.
+bytes, kept rows and error messages.  ``loop_center_nms_rows`` is a copy of
+the columnar NMS before its windowed neighbour search, which must keep the
+same rows in the same order.
 """
 
 import json
@@ -85,6 +87,20 @@ def legacy_center_nms(boxes, radius):
         if not suppressed:
             kept.append(box)
     return kept
+
+
+def loop_center_nms_rows(groups, boxes, radius):
+    by_score = np.argsort(-boxes.scores, kind="stable")
+    order = by_score[np.argsort(groups[by_score], kind="stable")]
+    key = (groups * len(boxes.names) + boxes.codes)[order].tolist()
+    keepers = {}  # kept centers of each group and category
+    kept = []
+    for i, k, x, z in zip(order.tolist(), key, boxes.values[order, 0].tolist(), boxes.values[order, 2].tolist()):
+        near = keepers.setdefault(k, [])
+        if all(math.hypot(kx - x, kz - z) >= radius for kx, kz in near):
+            near.append((x, z))
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
 
 
 def bits(box: Box3D):
@@ -293,3 +309,47 @@ class TestCenterNmsRows:
     def test_center_nms_wrapper(self, records, radius):
         boxes = [box for _, box in records]
         assert [id(b) for b in center_nms(boxes, radius)] == [id(b) for b in legacy_center_nms(boxes, radius)]
+
+
+# centres on a 0.5 m lattice wide enough for the x window to matter, some
+# nudged one ulp, so distances land on the radius and just either side of it
+lattice_coord = st.builds(
+    lambda k, nudge: float(np.nextafter(0.5 * k, nudge * math.inf)) if nudge else 0.5 * k,
+    st.integers(-24, 24),
+    st.sampled_from([0, 0, 0, -1, 1]),
+)
+nms_row = st.tuples(
+    st.sampled_from([3, 0, 7, 1]),  # group codes, not in first-appearance order
+    st.sampled_from(["car", "truck", "bus"]),
+    lattice_coord,
+    lattice_coord,
+    st.sampled_from([0.0, 0.3, 0.5, 0.5, 0.9, 1.0]),  # many tied scores
+)
+
+
+class TestWindowedNms:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(nms_row, max_size=80),
+           st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0, 5.0, math.sqrt(2.0), 0.1 + 0.2, 12.0]))
+    def test_matches_the_greedy_loop(self, rows, radius):
+        groups = np.array([g for g, *_ in rows], dtype=np.intp)
+        boxes = BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category=c, score=s)
+                                     for _, c, x, z, s in rows])
+        got = center_nms_rows(groups, boxes, radius)
+        assert got.dtype == np.intp
+        assert got.tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
+
+    def test_equal_centres_and_distance_on_the_radius(self):
+        # the 3-4-5 triangle: a box exactly 5 m away is kept at radius 5 and dropped at 5 + 1 ulp
+        centres = ((0.0, 0.0, 0.9), (3.0, 4.0, 0.8), (0.0, 0.0, 0.9), (3.0, 4.0, 0.7))
+        boxes = BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=s)
+                                     for x, z, s in centres])
+        groups = np.zeros(4, dtype=np.intp)
+        assert center_nms_rows(groups, boxes, 5.0).tolist() == [0, 1]
+        assert center_nms_rows(groups, boxes, float(np.nextafter(5.0, 6.0))).tolist() == [0]
+        # one ulp inside the radius, along x and along z
+        inside = float(np.nextafter(5.0, 0.0))
+        for x, z in ((inside, 0.0), (0.0, inside), (-inside, 0.0), (0.0, -inside)):
+            pair = BoxArray.from_boxes([Box3D(x=0.0, y=0.0, z=0.0, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=1.0),
+                                        Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=1.0)])
+            assert center_nms_rows(np.zeros(2, dtype=np.intp), pair, 5.0).tolist() == [0]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bevlab
-from bevlab import boxio, gridio
+from bevlab import boxio, cli, gridio
 from bevlab.cli import EXIT_FLAGS, EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
 from bevlab.geometry import BevGrid, Box3D, rasterize
 
@@ -437,6 +437,20 @@ RANGE_PROBES = {
 }
 
 
+# a flag value outside the library's range exits 2 before any input is read:
+# every input named here is missing, which would exit 4
+BEFORE_INPUT_PROBES = {
+    "nms-missing-input-radius-0": ("nms --input {dir}/missing.jsonl --radius 0 --out {out}.jsonl",
+                                   "radius must be > 0 and finite"),
+    "nms-missing-input-radius-nan": ("nms --input {dir}/missing.jsonl --radius nan --out {out}.jsonl",
+                                     "radius must be > 0 and finite"),
+    "seg-iou-missing-grids-threshold-2": ("seg-iou --pairs {missing_grids_csv} --threshold 2",
+                                          "binarize_threshold must be in (0, 1]"),
+    "seg-iou-missing-manifest-threshold-0": ("seg-iou --pairs {dir}/missing.csv --threshold 0",
+                                             "binarize_threshold must be in (0, 1]"),
+}
+
+
 @pytest.fixture
 def range_probe_files(probe_files):
     """The boundary probe files plus a valid grid-pair manifest and one
@@ -446,7 +460,9 @@ def range_probe_files(probe_files):
     (directory / "trailing.bevg").write_bytes(small.read_bytes() + b"\0")
     (directory / "pairs.csv").write_text(f"car,{small},{small}\n")
     (directory / "trailing.csv").write_text(f"car,{small},{directory}/trailing.bevg\n")
-    return {**probe_files, "pairs_csv": str(directory / "pairs.csv"), "trailing_csv": str(directory / "trailing.csv")}
+    (directory / "missing_grids.csv").write_text(f"car,{directory}/none.bevg,{directory}/none.bevg\n")
+    return {**probe_files, "pairs_csv": str(directory / "pairs.csv"), "trailing_csv": str(directory / "trailing.csv"),
+            "missing_grids_csv": str(directory / "missing_grids.csv")}
 
 
 def run_probe(command, code, message, probe_files, capsys):
@@ -481,6 +497,10 @@ class TestBoundary:
     def test_out_of_range_value(self, command, message, range_probe_files, capsys):
         run_probe(command, EXIT_FLAGS, message, range_probe_files, capsys)
 
+    @pytest.mark.parametrize("command,message", BEFORE_INPUT_PROBES.values(), ids=BEFORE_INPUT_PROBES.keys())
+    def test_flag_checked_before_input(self, command, message, range_probe_files, capsys):
+        run_probe(command, EXIT_FLAGS, message, range_probe_files, capsys)
+
     def test_threshold_one_is_accepted(self, range_probe_files, capsys):
         # both grids are empty, so the union is too
         run_probe("seg-iou --pairs {pairs_csv} --threshold 1", EXIT_OK, "mean_foreground=nan", range_probe_files,
@@ -494,6 +514,67 @@ class TestBoundary:
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one
         run_probe("eval --pred {dir} --gt {gt_jsonl}", EXIT_INPUT_PARSE, "Is a directory", probe_files, capsys)
+
+
+COMMAND_NAMES = ["variance", "threshold", "sweep", "sgd", "theorem1", "eval", "nms", "rasterize", "seg-iou"]
+
+
+def exit_and_output(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParsers:
+    """``main`` builds only the invoked sub-command's parser; the whole tree
+    answers help and a missing or unknown command, with the same text."""
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_command_help_matches_the_whole_tree(self, name, capsys):
+        own = exit_and_output(lambda: main([name, "-h"]), capsys)
+        assert own[0] == EXIT_OK and own[1].startswith(f"usage: bevlab {name} [-h]")
+        assert own == exit_and_output(lambda: cli.build_parser().parse_args([name, "-h"]), capsys)
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, out, _ = exit_and_output(lambda: main(["-h"]), capsys)
+        assert code == EXIT_OK
+        assert "{" + ",".join(COMMAND_NAMES) + "}" in out.split()
+        assert list(cli.COMMANDS) == COMMAND_NAMES
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'variance', 'threshold',"),
+        (["--length", "4", "threshold"], "argument command: invalid choice: '4'"),
+    ], ids=["none", "unknown", "flag-first"])
+    def test_missing_or_unknown_command(self, argv, message, capsys):
+        code, _, err = exit_and_output(lambda: main(argv), capsys)
+        assert code == EXIT_FLAGS
+        assert err.startswith("usage: bevlab [-h]") and f"\nbevlab: error: {message}" in err
+
+    def test_unknown_flag_is_reported_by_the_whole_tree(self, capsys):
+        code, _, err = exit_and_output(lambda: main(["threshold", "--length", "4", "--bogus", "1"]), capsys)
+        assert code == EXIT_FLAGS
+        assert err.startswith("usage: bevlab [-h]")
+        assert err.endswith("\nbevlab: error: unrecognized arguments: --bogus 1\n")
+
+    def test_a_command_does_not_build_the_whole_tree(self, monkeypatch, capsys):
+        def whole_tree():
+            raise AssertionError("the whole parser tree was built")
+
+        monkeypatch.setattr(cli, "build_parser", whole_tree)
+        assert main(["threshold", "--length", "4"]) == EXIT_OK
+
+    def test_config_with_abbreviated_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": "l1", "samples": 2000}))
+        out = tmp_path / "v.csv"
+        argv = ["variance", "--conf", str(cfg), "--sig", "1", "--se", "3", "--det", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "loss=l1 sigma=1" in capsys.readouterr().out
+        config = json.loads(out.read_text().splitlines()[1].removeprefix("# config: "))
+        assert config == {"beta": 1.0, "command": "variance", "deterministic": True, "length": None, "loss": "l1",
+                          "samples": 2000, "seed": 3, "sigma": 1.0}
 
 
 def test_python_m_runs_the_cli():

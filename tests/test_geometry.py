@@ -1,4 +1,5 @@
 import math
+import struct
 from collections import defaultdict
 
 import numpy as np
@@ -411,6 +412,26 @@ class TestRasterizeMatchesReference:
                 self.assert_same([make_box(x=x0 + 0.5 * w, z=20.0, w=w, l=1.0)])
                 self.assert_same([make_box(x=x0 - 0.5 * w, z=20.0, w=w, l=1.0)])
 
+    def test_windows_meeting_at_a_corner_or_the_grid_edge(self):
+        # a window reaches the cell past each rectangle edge, so unit squares
+        # on a diagonal share only their corner cell
+        template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
+        corner = [make_box(x=0.5, z=0.5, l=1.0, w=1.0), make_box(x=1.5, z=1.5, l=1.0, w=1.0),
+                  make_box(x=4.5, z=0.5, l=1.0, w=1.0), make_box(x=3.5, z=1.5, l=1.0, w=1.0)]
+        # windows cut off at the last row or column, or at the first row, meeting only there
+        edge = [make_box(x=9.5, z=9.5, l=1.0, w=1.0), make_box(x=9.75, z=7.5, l=3.0, w=0.5),
+                make_box(x=11.0, z=4.0, l=2.0, w=3.0), make_box(x=11.0, z=5.5, l=1.0, w=3.0),
+                make_box(x=5.0, z=-1.0, l=3.0, w=1.0), make_box(x=6.0, z=-1.0, l=3.0, w=1.0)]
+        for boxes in (corner, edge, corner + edge):
+            assert self.assert_same(boxes, template).any()
+            self.assert_same(boxes)
+        rng = np.random.default_rng(47)
+        for _ in range(30):  # whole-cell squares on a lattice: most windows meet at a corner or an edge
+            boxes = [make_box(x=float(rng.integers(-1, 11)) + 0.5, z=float(rng.integers(-1, 11)) + 0.5,
+                              l=float(rng.integers(1, 3)), w=float(rng.integers(1, 3)))
+                     for _ in range(rng.integers(2, 12))]
+            self.assert_same(boxes, template)
+
 
 class TestGridDice:
     def test_identical(self):
@@ -476,6 +497,26 @@ class TestGridIo:
     def test_bad_extent_rejected(self, extent):
         with pytest.raises(ValueError):
             BevGrid(rows=2, cols=2, extent=extent)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_binary_bytes(self, tmp_path, layout):
+        # header, then the cells as little-endian f32 in row-major order, whatever the array's layout
+        cells = self._grid().cells
+        cells = {"C": cells, "F": np.asfortranarray(cells), "strided": np.repeat(cells, 2, axis=1)[:, ::2]}[layout]
+        grid = BevGrid(5, 7, (-4.0, 4.0, 0.0, 10.0), cells)
+        path = tmp_path / "grid.bevg"
+        gridio.write_grid(grid, path)
+        head = struct.pack("<4sII4d", b"BEVG", 5, 7, -4.0, 4.0, 0.0, 10.0)
+        assert path.read_bytes() == head + self._grid().cells.astype("<f4").tobytes()
+
+    def test_like_is_a_fresh_empty_grid(self):
+        grid = self._grid()
+        empty = grid.like()
+        assert (empty.rows, empty.cols, empty.extent) == (grid.rows, grid.cols, grid.extent)
+        assert empty.cells.dtype == np.float64 and empty.cells.shape == (5, 7) and not empty.cells.any()
+        assert not np.shares_memory(empty.cells, grid.cells)
+        empty.cells[0, 0] = 1.0
+        assert grid.cells[0, 0] != 1.0 and not grid.like().cells.any()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "grid.bevg"

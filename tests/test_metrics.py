@@ -12,6 +12,7 @@ from bevlab.metrics import (
     DEFAULT_BINS,
     FrameSet,
     _Pairs,
+    _window_pairs,
     average_precision,
     bin_label,
     center_nms,
@@ -213,6 +214,26 @@ def lattice_frames(draw, max_frames=2):
                 preds.append(draw(lattice_box).with_score(score))
         frames.append(frame(preds, gts, f"f{fi}"))
     return frames
+
+
+class TestWindowPairs:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-6, 6), st.integers(0, 4)), max_size=25),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(-8, 8)), max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, a_rows, b_rows):
+        # integer x, so b values land on both ends of the windows; keys repeat and interleave
+        a_key, a_x, a_half = np.array(a_rows, dtype=np.intp).reshape(-1, 3).T
+        b_key, b_x = np.array(b_rows, dtype=np.intp).reshape(-1, 2).T
+        a_lo, a_hi = (a_x - a_half).astype(float), (a_x + a_half).astype(float)
+        i, j = _window_pairs(a_key, a_lo, a_hi, b_key, b_x.astype(float))
+        want = sorted((p, q) for p in range(len(a_key)) for q in range(len(b_key))
+                      if a_key[p] == b_key[q] and a_lo[p] <= b_x[q] <= a_hi[p])
+        assert sorted(zip(i.tolist(), j.tolist())) == want
+
+    def test_infinite_window(self):
+        key = np.array([1, 0, 1])
+        i, j = _window_pairs(key, np.full(3, -math.inf), np.full(3, math.inf), key, np.array([5.0, -1e300, 1e300]))
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
 
 
 class TestColumnarCore:
