@@ -61,16 +61,18 @@ class SceneConfig:
                 raise ValueError("object lengths must be > 0")
 
 
+@dataclass
 class SyntheticScene:
-    """Objects on disjoint rays sharing one hidden optimal weight.  Per
-    object: its category (``categories``, and ``codes`` into ``names``, the
-    distinct categories in order of first appearance), length, depth (equal
-    to ``features @ w_star`` exactly) and features, (n, dim).  A plain class,
-    because creating a dataclass adds about half a millisecond to each import."""
+    """Objects on disjoint rays sharing one hidden optimal weight."""
 
-    def __init__(self, config: SceneConfig, w_star, categories, codes, names, lengths, depths, features) -> None:
-        self.config, self.w_star, self.categories, self.codes, self.names = config, w_star, categories, codes, names
-        self.lengths, self.depths, self.features = lengths, depths, features
+    config: SceneConfig
+    w_star: np.ndarray
+    categories: list[str]  # per object
+    lengths: np.ndarray  # (n,)
+    depths: np.ndarray  # (n,), equals features @ w_star exactly
+    features: np.ndarray  # (n, dim)
+    codes: np.ndarray  # (n,), per object, into names
+    names: tuple[str, ...]  # distinct categories in order of first appearance
 
     def __len__(self) -> int:
         return len(self.categories)
@@ -88,9 +90,8 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     w_star = direction * 0.5 * (z_min + z_max)
     n = len(config.categories) * config.objects_per_category
     cats = [name for name, _ in config.categories for _ in range(config.objects_per_category)]
-    index: dict[str, int] = {}  # a repeated name keeps its first code
-    codes = np.repeat([index.setdefault(name, len(index)) for name, _ in config.categories],
-                      config.objects_per_category)
+    names = tuple(dict.fromkeys(name for name, _ in config.categories))  # a repeated name keeps its first code
+    codes = np.repeat([names.index(name) for name, _ in config.categories], config.objects_per_category)
     lengths = np.repeat(np.array([length for _, length in config.categories], dtype=np.float64),
                         config.objects_per_category)
     h0 = rng.standard_normal((n, dim))
@@ -102,11 +103,11 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
         config=config,
         w_star=w_star,
         categories=cats,
-        codes=codes,
-        names=tuple(index),
         lengths=lengths,
         depths=z,
         features=features,
+        codes=codes,
+        names=names,
     )
 
 

@@ -443,6 +443,7 @@ def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
     x_min, _, z_min, _ = grid.extent
     dw, dd = grid.cell_width, grid.cell_depth
     windows = []  # (rect, rows, cols) of the cells each rectangle may touch
+    touched = np.zeros((grid.rows, grid.cols), dtype=np.intp)  # zeroed lazily: only pages under windows are written
     for rect in rects:
         x0, x1, z0, z1 = rect
         j0 = max(0, int(math.floor((x0 - x_min) / dw)))
@@ -453,7 +454,7 @@ def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
             continue
         rows, cols = slice(i0, i1 + 1), slice(j0, j1 + 1)
         windows.append((rect, rows, cols))
-    bounds = np.array([(r.start, r.stop, c.start, c.stop) for _, r, c in windows]).reshape(-1, 4)
+        touched[rows, cols] += 1
     cell_area = dw * dd
     shared: dict[tuple[int, int], list] = defaultdict(list)
     for rect, rows, cols in windows:
@@ -471,23 +472,15 @@ def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
         right = (xb < cx1) & (0.5 * (xb + cx1) <= xb)
         area = (np.where(left, cover * (xa - cx0), 0.0) + cover * (xb - xa)) + np.where(right, cover * (cx1 - xb), 0.0)
         inside = (zb > za)[:, None] & (xb > xa)
-        # how many windows, this one included, cover each of its cells
-        count = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=np.intp)
-        rel = np.clip(bounds - (rows.start, rows.start, cols.start, cols.start), 0, np.repeat(count.shape, 2))
-        for r0, r1, c0, c1 in rel[(rel[:, 0] < rel[:, 1]) & (rel[:, 2] < rel[:, 3])].tolist():
-            count[r0:r1, c0:c1] += 1
-        alone = count == 1
+        alone = touched[rows, cols] == 1
         block = grid.cells[rows, cols]
-        block[alone] = np.where(inside, area, 0.0)[alone] / cell_area
+        block[alone] = np.minimum(np.where(inside, area, 0.0)[alone] / cell_area, 1.0)  # clipped as written: area >= 0
         for i, j in np.argwhere(~alone).tolist():
             shared[(rows.start + i, cols.start + j)].append(rect)
     for (i, j), rlist in shared.items():
         cx0 = x_min + j * dw
         cz0 = z_min + i * dd
-        grid.cells[i, j] = _union_area_in_cell(rlist, cx0, cx0 + dw, cz0, cz0 + dd) / cell_area
-    for _, rows, cols in windows:  # cells outside every window stay 0
-        block = grid.cells[rows, cols]
-        np.clip(block, 0.0, 1.0, out=block)
+        grid.cells[i, j] = min(_union_area_in_cell(rlist, cx0, cx0 + dw, cz0, cz0 + dd) / cell_area, 1.0)
 
 
 def _subsample_window(center: float, half: float, lo: float, step: float, count: int) -> tuple[int, int]:

@@ -369,42 +369,66 @@ def evaluate(
     )
 
 
-def check_ranges(iou_threshold: float = 0.5, radius: float = 4.0, binarize_threshold: float = 0.5) -> None:
-    """The value rules of IoU thresholds, :func:`center_nms_rows` and :func:`seg_miou`; the CLI checks them first."""
-    if not 0.0 < iou_threshold <= 1.0:
+def check_ranges(*, iou_threshold=None, radius=None, binarize_threshold=None) -> None:
+    """Check each value given: an IoU threshold, :func:`center_nms_rows`' radius, :func:`seg_miou`'s threshold."""
+    if iou_threshold is not None and not 0.0 < iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in (0, 1]")
-    if not math.inf > radius > 0:
+    if radius is not None and not math.inf > radius > 0:
         raise ValueError("radius must be > 0 and finite")
-    if not 0.0 < binarize_threshold <= 1.0:
+    if binarize_threshold is not None and not 0.0 < binarize_threshold <= 1.0:
         raise ValueError("binarize_threshold must be in (0, 1]")
 
 
+def _within(dx: np.ndarray, dz: np.ndarray, radius: float) -> np.ndarray:
+    """``math.hypot(dx, dz) < radius`` elementwise; math.hypot decides only ratios within rounding of 1."""
+    q = np.square(dx / radius) + np.square(dz / radius)  # an infinite ratio is far, as its hypot is
+    near = q < 1.0
+    edge = np.flatnonzero(np.abs(q - 1.0) <= 1e-9)
+    near[edge] = [math.hypot(a, b) < radius for a, b in zip(dx[edge].tolist(), dz[edge].tolist())]
+    return near
+
+
+@np.errstate(over="ignore")  # extreme centres or radii: an infinite difference or ratio is far
 def center_nms_rows(groups: np.ndarray, boxes: BoxArray, radius: float = 4.0) -> np.ndarray:
     """Center-based 3D NMS on columns: in each group (a frame), visit boxes by
     descending score, ties in input order, and keep a box unless a kept box
     of its category has its BEV center within ``radius`` meters.  Returns
-    the kept rows: groups by ascending code, then in visiting order.  Only
-    pairs found in a searchsorted window of ``radius`` are measured."""
+    the kept rows: groups by ascending code, then in visiting order.  The
+    first box of each (frame, category, radius/2 cell) finds its neighbours in
+    a searchsorted window up front, any other kept box when it is visited: a
+    dense cluster costs its size times its cells, not its size squared."""
     check_ranges(radius=radius)
     if np.isnan(boxes.scores).any():
         raise ValueError("center_nms requires scored boxes")
     by_score = np.argsort(-boxes.scores, kind="stable")
     order = by_score[np.argsort(groups[by_score], kind="stable")]
-    rank = np.argsort(order)
-    key, x, z = groups * len(boxes.names) + boxes.codes, boxes.values[:, 0], boxes.values[:, 2]
-    reach = radius + _REACH_SLACK
-    u, v = _window_pairs(key, x - reach, x + reach, key, x)
-    candidate = (rank[u] < rank[v]) & (np.abs(z[u] - z[v]) <= reach)
-    u, v = u[candidate], v[candidate]
-    near = np.array([math.hypot(dx, dz) < radius for dx, dz in zip((x[u] - x[v]).tolist(), (z[u] - z[v]).tolist())],
-                    dtype=bool)
-    u, v = u[near], v[near]
-    later = np.argsort(rank[v], kind="stable")
-    dropped = [False] * len(order)
-    for i, j in zip(u[later].tolist(), v[later].tolist()):
-        if not dropped[i]:
-            dropped[j] = True
-    return order[~np.array(dropped, dtype=bool)[order]]
+    n, reach = len(order), radius + _REACH_SLACK
+    key, x, z = (groups * len(boxes.names) + boxes.codes)[order], boxes.values[order, 0], boxes.values[order, 2]
+    cells = np.column_stack([key, np.floor(x / radius * 2), np.floor(z / radius * 2)])
+    by_cell = np.lexsort(cells.T[::-1])  # stable: each cell's boxes in visiting order
+    cells, first, lead = cells[by_cell], np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    lead[by_cell[first]] = True
+    a, b = _window_pairs(key[lead], x[lead] - reach, x[lead] + reach, key, x)
+    a = np.flatnonzero(lead)[a]  # visiting positions, ascending
+    pair = (a < b) & (np.abs(z[a] - z[b]) <= reach)
+    a, b = a[pair], b[pair]
+    near = _within(x[a] - x[b], z[a] - z[b], radius)
+    bounds = np.searchsorted(a[near], np.arange(n + 1))
+    visit = np.flatnonzero(~lead | (bounds[1:] > bounds[:-1]))  # a first box with no neighbour drops none
+    targets, bounds, lead = b[near].tolist(), bounds.tolist(), lead.tolist()
+    dropped = [False] * n
+    for p in visit.tolist():
+        if dropped[p]:
+            continue
+        if lead[p]:
+            later = targets[bounds[p] : bounds[p + 1]]
+        else:  # kept, though not first in its cell
+            m = p + 1 + np.flatnonzero(key[p + 1 :] == key[p])
+            later = m[_within(x[p] - x[m], z[p] - z[m], radius)].tolist()
+        for t in later:
+            dropped[t] = True
+    return order[~np.array(dropped, dtype=bool)]
 
 
 def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:

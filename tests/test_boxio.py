@@ -10,7 +10,9 @@ same rows in the same order.
 
 import json
 import math
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from bevlab.boxio import BoxFormatError, BoxLines, read_box_lines, write_box_lines
 from bevlab.geometry import Box3D, BoxArray
-from bevlab.metrics import center_nms, center_nms_rows
+from bevlab.metrics import _within, center_nms, center_nms_rows
 
 _REQUIRED = ("frame", "category", "x", "y", "z", "l", "w", "h", "yaw")
 _NUMERIC = ("x", "y", "z", "l", "w", "h", "yaw")
@@ -353,3 +355,59 @@ class TestWindowedNms:
             pair = BoxArray.from_boxes([Box3D(x=0.0, y=0.0, z=0.0, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=1.0),
                                         Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=1.0)])
             assert center_nms_rows(np.zeros(2, dtype=np.intp), pair, 5.0).tolist() == [0]
+
+    def test_a_kept_box_that_is_not_first_in_its_cell(self):
+        # radius 4, cells of 2 m: B leads cell (1, 0) but A drops it, so C, later in
+        # that cell and 4.46 m from A, is kept, and C (not a cell's first box) drops D
+        centres = ((0.0, 0.0, 1.0), (3.0, 0.0, 0.9), (3.99, 1.99, 0.8), (7.5, 2.0, 0.7))
+        boxes = BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=s)
+                                     for x, z, s in centres])
+        assert center_nms_rows(np.zeros(4, dtype=np.intp), boxes, 4.0).tolist() == [0, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["car", "truck"]), st.integers(-3, 3),
+                              st.integers(-3, 3), st.integers(1, 60)), min_size=1, max_size=6),
+           st.sampled_from([1.0, 2.5, 4.0]), st.integers(0, 2**32 - 1))
+    def test_dense_clusters_match_the_greedy_loop(self, clusters, radius, seed):
+        # up to 60 boxes within 1.5 m of each centre, scores with ties
+        rng = np.random.default_rng(seed)
+        rows = [(g, c, 3.0 * cx + rng.uniform(-1.5, 1.5), 3.0 * cz + rng.uniform(-1.5, 1.5),
+                 float(rng.choice([0.5, rng.uniform()])))
+                for g, c, cx, cz, size in clusters for _ in range(size)]
+        groups = np.array([g for g, *_ in rows], dtype=np.intp)
+        boxes = BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category=c, score=s)
+                                     for _, c, x, z, s in rows])
+        assert center_nms_rows(groups, boxes, radius).tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
+
+    @pytest.mark.parametrize("radius", [5e-324, 1e-300, 1e300, sys.float_info.max])
+    def test_extreme_radii_and_centres(self, radius):
+        # no warning, and the same rows, where differences and ratios overflow or underflow
+        rng = np.random.default_rng(61)
+        values = [0.0, 1e-310, -1e-310, 1e-300, 1.0, 2.0, -3.0, 1e300, -1e300, sys.float_info.max, -sys.float_info.max]
+        rows = [(rng.choice(values), rng.choice(values), float(rng.choice([0.5, 0.9]))) for _ in range(60)]
+        boxes = BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=s)
+                                     for x, z, s in rows])
+        groups = np.zeros(len(rows), dtype=np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = center_nms_rows(groups, boxes, radius)
+        assert got.tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestWithin:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(finite, finite), max_size=20),
+           st.floats(min_value=5e-324, allow_infinity=False), st.data())
+    def test_equals_math_hypot(self, pairs, radius, data):
+        # also differences on the radius itself, and one ulp either side of it
+        for _ in range(3):
+            a = data.draw(st.floats(0.0, math.pi / 2))
+            dx, dz = radius * math.cos(a), radius * math.sin(a)
+            pairs.append((math.nextafter(dx, data.draw(st.sampled_from([0.0, math.inf]))), dz))
+        dx, dz = np.array(pairs, dtype=float).reshape(-1, 2).T
+        with np.errstate(over="ignore"):  # as center_nms_rows calls it
+            got = _within(dx, dz, radius).tolist()
+        assert got == [math.hypot(a, b) < radius for a, b in pairs]

@@ -432,6 +432,17 @@ class TestRasterizeMatchesReference:
                      for _ in range(rng.integers(2, 12))]
             self.assert_same(boxes, template)
 
+    def test_many_windows_stacked_deep(self):
+        # hundreds of windows, many covering the same cells, some wholly off the grid
+        rng = np.random.default_rng(53)
+        x_min, x_max, z_min, z_max = ODD_GRID.extent
+        for count in (2, 40, 300):
+            boxes = [make_box(x=float(rng.uniform(x_min - 3, x_max + 3)), z=float(rng.uniform(z_min - 3, z_max + 3)),
+                              l=float(rng.uniform(0.2, 6)), w=float(rng.uniform(0.2, 6)))
+                     for _ in range(count)]
+            assert self.assert_same(boxes).any()
+        self.assert_same([make_box(x=x_max + 5.0, z=z_max + 5.0)])  # no window at all
+
 
 class TestGridDice:
     def test_identical(self):

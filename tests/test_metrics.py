@@ -16,6 +16,7 @@ from bevlab.metrics import (
     average_precision,
     bin_label,
     center_nms,
+    check_ranges,
     evaluate,
     match_greedy,
     oracle_swap,
@@ -458,6 +459,21 @@ class TestCenterNms:
     def test_unscored_rejected(self):
         with pytest.raises(ValueError):
             center_nms([box()])
+
+
+class TestCheckRanges:
+    def test_only_the_values_given_are_checked(self):
+        check_ranges()
+        check_ranges(iou_threshold=1.0, radius=1e300, binarize_threshold=1e-9)
+        for kwargs, message in (({"iou_threshold": 0.0}, "iou_threshold"), ({"radius": math.inf}, "radius"),
+                                ({"binarize_threshold": 1.5}, "binarize_threshold")):
+            with pytest.raises(ValueError, match=message):
+                check_ranges(**kwargs)
+
+    def test_values_are_keyword_only(self):
+        # a radius passed by position must not be taken for an IoU threshold
+        with pytest.raises(TypeError):
+            check_ranges(4.0)
 
 
 class TestOracleSwap:
