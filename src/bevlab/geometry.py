@@ -443,7 +443,7 @@ def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
     x_min, _, z_min, _ = grid.extent
     dw, dd = grid.cell_width, grid.cell_depth
     windows = []  # (rect, rows, cols) of the cells each rectangle may touch
-    touched = np.zeros((grid.rows, grid.cols), dtype=np.intp)  # zeroed lazily: only pages under windows are written
+    touched = np.zeros((grid.rows, grid.cols), dtype=np.uint8)  # windows over each cell, counted up to 2
     for rect in rects:
         x0, x1, z0, z1 = rect
         j0 = max(0, int(math.floor((x0 - x_min) / dw)))
@@ -454,7 +454,7 @@ def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
             continue
         rows, cols = slice(i0, i1 + 1), slice(j0, j1 + 1)
         windows.append((rect, rows, cols))
-        touched[rows, cols] += 1
+        touched[rows, cols] += touched[rows, cols] < 2
     cell_area = dw * dd
     shared: dict[tuple[int, int], list] = defaultdict(list)
     for rect, rows, cols in windows:

@@ -442,6 +442,9 @@ class TestRasterizeMatchesReference:
                      for _ in range(count)]
             assert self.assert_same(boxes).any()
         self.assert_same([make_box(x=x_max + 5.0, z=z_max + 5.0)])  # no window at all
+        # 257 different windows over the same cells: a count kept in one byte would wrap to 1
+        template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
+        assert self.assert_same([make_box(x=0.25 + k / 1024, z=0.5, l=0.5, w=0.5) for k in range(257)], template).any()
 
 
 class TestGridDice:
