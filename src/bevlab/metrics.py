@@ -381,7 +381,7 @@ def check_ranges(*, iou_threshold=None, radius=None, binarize_threshold=None) ->
 
 def _within(dx: np.ndarray, dz: np.ndarray, radius: float) -> np.ndarray:
     """``math.hypot(dx, dz) < radius`` elementwise; math.hypot decides only ratios within rounding of 1."""
-    q = np.square(dx / radius) + np.square(dz / radius)  # an infinite ratio is far, as its hypot is
+    q = np.square(dx / radius) + np.square(dz / radius)
     near = q < 1.0
     edge = np.flatnonzero(np.abs(q - 1.0) <= 1e-9)
     near[edge] = [math.hypot(a, b) < radius for a, b in zip(dx[edge].tolist(), dz[edge].tolist())]
