@@ -292,7 +292,7 @@ _ENSEMBLE_FLAGS = (("--trials", dict(type=int, default=200)), ("--steps", dict(t
 # name -> (function, help, flags beyond the shared ones): the one declaration of each sub-command
 COMMANDS = {
     "variance": (cmd_variance, "closed-form and Monte Carlo gradient variance",
-                 _LOSS_FLAGS + (("--samples", dict(type=int, default=1_000_000)),)),
+                 _LOSS_FLAGS + (("--samples", dict(type=int, default=sgd.VARIANCE_SAMPLES)),)),
     "threshold": (cmd_threshold, "critical noise threshold for an object length",
                   (("--length", dict(type=float, required=True)),)),
     "sweep": (cmd_sweep, "loss/length/sigma convergence sweep", (

@@ -20,6 +20,10 @@ Two simulation modes:
 
 Randomness is counter-based (Philox) and keyed per trial, so results are
 bitwise identical regardless of trial execution order or block size.
+
+The empirical gradient variance scales one standard-normal draw per base
+seed by sigma.  A :func:`sweep` makes that draw once for all its rows, so each
+row is still exactly its own estimator, but the rows are correlated.
 """
 
 from __future__ import annotations
@@ -52,10 +56,17 @@ _TRIAL_STREAM = 0x51D
 _GRAD_STREAM = 0x6EAD
 _ROW_STREAM = 0x5EED
 _BLOCK_BYTES = 4 << 20  # literal mode: feature draws of one block of trials, a few MB
+VARIANCE_SAMPLES = 1_000_000  # noise draws behind each empirical gradient variance
 
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarray:
+    """The standard-normal draw behind the empirical gradient variance of
+    ``base_seed``, before it is scaled by sigma."""
+    return _rng(base_seed, _GRAD_STREAM).standard_normal(samples)
 
 
 @dataclass(frozen=True)
@@ -131,7 +142,9 @@ class EnsembleStats:
 
     @cached_property
     def empirical_grad_variance(self) -> float:
-        """Gradient variance of 10**6 fresh noise draws, drawn when first read."""
+        """Gradient variance of 10**6 noise draws on the stream of the
+        ensemble's own base seed, drawn when first read.  :func:`sweep` does
+        not read it: its rows share one draw on the template's seed."""
         c = self.config_echo
         return empirical_gradient_variance(c.loss, c.sigma, c.base_seed)[0]
 
@@ -184,17 +197,18 @@ def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
 
 
 def empirical_gradient_variance(
-    loss: LossKind, sigma: float, base_seed: int = 0, samples: int = 1_000_000
+    loss: LossKind, sigma: float, base_seed: int = 0, samples: int = VARIANCE_SAMPLES
 ) -> tuple[float, float]:
-    """Monte Carlo gradient variance over fresh noise draws.
+    """Monte Carlo gradient variance over ``samples`` noise draws.
 
     Returns ``(variance, standard_error)`` where the standard error is that of
     the variance estimator itself.
     """
+    NoiseModel(sigma)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    rng = _rng(base_seed, _GRAD_STREAM)
-    eta = rng.standard_normal(samples) * sigma
+    eta = _variance_noise(base_seed, samples)
+    eta *= sigma
     eps = gradient_array(loss, eta)
     var = float(np.var(eps))
     sq = (eps - eps.mean()) ** 2
@@ -247,6 +261,10 @@ def sweep(
 ) -> list[SweepRow]:
     """Cartesian sweep over (loss, length, sigma); deterministic in base_seed.
 
+    Every axis value is checked before any work.  Each row runs an ensemble
+    on its own seed; its ``var_empirical`` scales one draw shared by all rows,
+    so it equals ``empirical_gradient_variance(loss, sigma, template.base_seed)[0]``.
+
     Non-dice losses do not depend on the object length but the length column
     is still recorded so the table stays rectangular.
     """
@@ -254,13 +272,17 @@ def sweep(
     if not all(axes):
         raise ValueError("sweep axes must be non-empty")
     beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
+    cells = [(name, length, LossKind.parse(name, length, beta)) for name, length in itertools.product(*axes[:2])]
+    noises = [NoiseModel(sigma) for sigma in axes[2]]
+    z = _variance_noise(template.base_seed)
+    eta = np.empty_like(z)
     rows: list[SweepRow] = []
-    for row_index, (loss_name, length, sigma) in enumerate(itertools.product(*axes)):
-        loss = LossKind.parse(loss_name, length, beta)
+    for row_index, ((loss_name, length, loss), noise) in enumerate(itertools.product(cells, noises)):
         seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
-        stats = run_ensemble(replace(template, loss=loss, sigma=sigma, base_seed=seed))
-        var_closed = closed_form_variance(loss, NoiseModel(sigma))
-        rows.append(SweepRow(loss=loss_name, length=length, sigma=sigma, var_closed=var_closed,
-                             var_empirical=stats.empirical_grad_variance, mean_dev=stats.mean_deviation_sq,
-                             std_err=stats.std_error))
+        stats = run_ensemble(replace(template, loss=loss, sigma=noise.sigma, base_seed=seed))
+        np.multiply(z, noise.sigma, out=eta)
+        rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,
+                             var_closed=closed_form_variance(loss, noise),
+                             var_empirical=float(np.var(gradient_array(loss, eta))),
+                             mean_dev=stats.mean_deviation_sq, std_err=stats.std_error))
     return rows

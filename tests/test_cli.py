@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bevlab
-from bevlab import boxio, cli, gridio
+from bevlab import boxio, cli, gridio, sgd
 from bevlab.cli import EXIT_FLAGS, EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
 from bevlab.geometry import BevGrid, Box3D, rasterize
 
@@ -103,6 +103,17 @@ class TestSweep:
         assert svg.read_text().startswith("<svg")
         data_rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 1 + 4
+
+    def test_var_empirical_matches_the_variance_command(self, capsys):
+        argv = ["sweep", "--lengths", "4", "--sigmas", "0,0.5,6", "--losses", "l2,dice",
+                "--trials", "2", "--steps", "5", "--dim", "2", "--seed", "17"]
+        assert main(argv) == EXIT_OK
+        header, *rows = [l.split(",") for l in capsys.readouterr().out.splitlines() if l]
+        assert len(rows) == 6
+        for row in (dict(zip(header, cells)) for cells in rows):
+            loss = ["--loss", row["loss"]] + (["--length", row["length"]] if row["loss"] == "dice" else [])
+            assert main(["variance", *loss, "--sigma", row["sigma"], "--seed", "17"]) == EXIT_OK
+            assert f"empirical={row['var_empirical']} " in capsys.readouterr().out
 
 
 class TestSgd:
@@ -451,6 +462,17 @@ BEFORE_INPUT_PROBES = {
 }
 
 
+# every sweep axis value is checked before the first ensemble and the shared noise draw
+SWEEP_AXIS_PROBES = {
+    "sweep-second-sigma-nan": ("sweep --lengths 12 --sigmas 0.5,nan --losses l1", "sigma must be >= 0 and finite"),
+    "sweep-last-sigma-negative": ("sweep --lengths 12 --sigmas 0.5,1,-1 --losses l1,l2",
+                                  "sigma must be >= 0 and finite"),
+    "sweep-second-length-inf": ("sweep --lengths 12,inf --sigmas 0.5 --losses dice",
+                                "dice requires a finite length > 0"),
+    "sweep-second-loss-unknown": ("sweep --lengths 12 --sigmas 0.5 --losses l1,hinge", "unknown loss kind"),
+}
+
+
 @pytest.fixture
 def range_probe_files(probe_files):
     """The boundary probe files plus a valid grid-pair manifest and one
@@ -500,6 +522,15 @@ class TestBoundary:
     @pytest.mark.parametrize("command,message", BEFORE_INPUT_PROBES.values(), ids=BEFORE_INPUT_PROBES.keys())
     def test_flag_checked_before_input(self, command, message, range_probe_files, capsys):
         run_probe(command, EXIT_FLAGS, message, range_probe_files, capsys)
+
+    @pytest.mark.parametrize("command,message", SWEEP_AXIS_PROBES.values(), ids=SWEEP_AXIS_PROBES.keys())
+    def test_sweep_axis_checked_before_any_work(self, command, message, probe_files, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started work before checking its axes")
+
+        monkeypatch.setattr(sgd, "run_ensemble", no_work)
+        monkeypatch.setattr(sgd, "_variance_noise", no_work)
+        run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
 
     def test_threshold_one_is_accepted(self, range_probe_files, capsys):
         # both grids are empty, so the union is too

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,11 @@ class TestRunEnsemble:
         assert expected == pytest.approx(0.006944, abs=1e-6)
         assert abs(var - expected) <= 3 * se + 1e-9
 
+    @pytest.mark.parametrize("sigma", [math.nan, -2.0, math.inf, -math.inf])
+    def test_sigma_checked(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            empirical_gradient_variance(LossKind.l2(), sigma, samples=10)
+
 
 class TestFitLemma1:
     def test_exact_line(self):
@@ -191,6 +197,52 @@ class TestSweep:
     def test_empty_axes(self):
         with pytest.raises(ValueError):
             sweep([], [1.0], ["l1"], self._template())
+
+    # sigma 5 puts some |sigma z| beyond both lengths; smooth_l1 takes the template's beta
+    SHARED = dict(lengths=[4.0, 12.0], sigmas=[0.0, 0.3, 5.0], losses=["l1", "l2", "dice", "smooth_l1"])
+
+    def test_var_empirical_is_the_estimator_of_its_row(self):
+        template = self._template(loss=LossKind.smooth_l1(0.5), steps=10, trials=2)
+        rows = sweep(**self.SHARED, template=template)
+        assert len(rows) == 24
+        for r in rows:
+            loss = LossKind.parse(r.loss, r.length, beta=0.5)
+            assert r.var_empirical == empirical_gradient_variance(loss, r.sigma, template.base_seed)[0], r
+
+    @pytest.mark.parametrize("mode", ["idealized", "literal"])
+    def test_ensemble_columns_equal_run_ensemble(self, mode):
+        template = self._template(steps=30, trials=4, mode=mode)
+        rows = sweep([4.0], [0.0, 0.5], ["l2", "dice"], template)
+        for row_index, r in enumerate(rows):
+            seed = int(np.random.SeedSequence([template.base_seed, row_index, sgd._ROW_STREAM]).generate_state(1)[0])
+            stats = run_ensemble(replace(template, loss=LossKind.parse(r.loss, r.length), sigma=r.sigma,
+                                         base_seed=seed))
+            assert (r.mean_dev, r.std_err) == (stats.mean_deviation_sq, stats.std_error)
+
+    def test_one_noise_draw_per_sweep(self, monkeypatch):
+        draws, grad_streams = [], []
+        draw, rng = sgd._variance_noise, sgd._rng
+
+        def counted_draw(*args, **kwargs):
+            draws.append(draw(*args, **kwargs))
+            return draws[-1]
+
+        def counted_rng(*key):
+            grad_streams.append(key[1:] == (sgd._GRAD_STREAM,))
+            return rng(*key)
+
+        monkeypatch.setattr(sgd, "_variance_noise", counted_draw)
+        monkeypatch.setattr(sgd, "_rng", counted_rng)
+        rows = sweep(**self.SHARED, template=self._template(steps=10, trials=2))
+        assert len(rows) == 24
+        assert [len(z) for z in draws] == [10**6]
+        assert sum(grad_streams) == 1
+
+    def test_rows_share_the_draw(self):
+        # sign(sigma z) = sign(z) for sigma > 0, and dice(l=12) reads sign(z)/12 while every |sigma z| <= 12
+        rows = sweep([12.0], [0.25, 0.5, 2.0], ["l1", "dice"], self._template(steps=10, trials=2))
+        assert len({r.var_empirical for r in rows if r.loss == "l1"}) == 1
+        assert len({r.var_empirical for r in rows if r.loss == "dice"}) == 1
 
 
 class TestConfigValidation:
