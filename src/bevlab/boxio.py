@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .geometry import BoxArray
+from .geometry import BoxArray, box_fault
 
 __all__ = ["BoxFormatError", "BoxLines", "read_box_lines", "write_box_lines"]
 
@@ -82,7 +82,9 @@ def _parse(lines: list[str]):
 
 
 def _fault(obj) -> str | None:
-    """The first fault of one parsed line, or None."""
+    """The first fault of one parsed line that its columns cannot show, or
+    None.  The score's range is tested here too: columns read a NaN score as
+    none, and a bad score is reported before an int too large for a float."""
     if not isinstance(obj, dict):
         return "expected a JSON object"
     missing = [key for key in _REQUIRED if key not in obj]
@@ -95,17 +97,15 @@ def _fault(obj) -> str | None:
     if score is not None and (type(score) not in (int, float) or not 0 <= score <= 1):
         return "score must be a number in [0, 1]"
     try:
-        values = [float(obj[key]) for key in _NUMERIC]
+        list(map(float, _NUMBERS(obj)))  # an int too large for a float
     except OverflowError as exc:
         return str(exc)
-    if not (all(map(math.isfinite, values)) and min(values[3:6]) > 0):
-        return "box values must be finite and dimensions > 0"
     return None
 
 
 def _screen(objs):
     """Labels, values and scores of parsed lines; None if some line has a
-    fault (the checks of :func:`_fault`, on all lines at once)."""
+    fault that its columns cannot show (see :func:`_fault`)."""
     try:
         labels, numbers = [_LABELS(obj) for obj in objs], [_NUMBERS(obj) for obj in objs]
         scores = [obj.get("score") for obj in objs]
@@ -116,8 +116,7 @@ def _screen(objs):
         values, score_values = np.array(numbers, dtype=np.float64).reshape(-1, 7), np.array(scores, dtype=np.float64)
     except (TypeError, KeyError, OverflowError):  # not an object, a missing key, an int too large
         return None
-    in_range = np.count_nonzero((score_values >= 0.0) & (score_values <= 1.0))
-    if not (np.isfinite(values).all() and (values[:, 3:6] > 0).all() and in_range + scores.count(None) == len(scores)):
+    if np.count_nonzero(np.isnan(score_values)) != scores.count(None):  # a NaN score
         return None
     return labels, values, score_values
 
@@ -129,18 +128,21 @@ def read_box_lines(path) -> BoxLines:
         numbered = [(no, line) for no, line in enumerate(map(str.strip, fh.read().split("\n")), start=1) if line]
     objs, bad_json = _parse([line for _, line in numbered])
     columns = _screen(objs)
-    if columns is None:
-        for (line_no, _), obj in zip(numbered, objs):
-            message = _fault(obj)
-            if message is not None:
-                raise BoxFormatError(path, line_no, message)
+    end = len(objs) if columns else next(i for i, obj in enumerate(objs) if _fault(obj) is not None)
+    labels, values, scores = columns or _screen(objs[:end])  # the lines before a fault may break a box rule
+    frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
+    codes, names = _codes([str(category) for _, category in labels])
+    try:
+        boxes = BoxArray(values, codes, names, scores)
+    except ValueError:  # the first line that breaks a box rule: its own fault first (a bad score), else the rule
+        row, rule = box_fault(values, scores)
+        raise BoxFormatError(path, numbered[row][0], _fault(objs[row]) or rule) from None
+    if end < len(objs):
+        raise BoxFormatError(path, numbered[end][0], _fault(objs[end]))
     if bad_json is not None:
         i, exc = bad_json
         raise BoxFormatError(path, numbered[i][0], f"invalid JSON: {exc}") from exc
-    labels, values, scores = columns
-    frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
-    codes, names = _codes([str(category) for _, category in labels])
-    return BoxLines(frame_codes, frame_names, BoxArray(values, codes, names, scores))
+    return BoxLines(frame_codes, frame_names, boxes)
 
 
 _LINE = '{"frame": %s, "category": %s, "x": %r, "y": %r, "z": %r, "l": %r, "w": %r, "h": %r, "yaw": %r'

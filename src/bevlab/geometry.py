@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _TAU = 2.0 * math.pi
+# the box rules, checked on one box by Box3D and on columns by box_fault
+_VALUES_RULE, _SCORE_RULE = "box values must be finite and dimensions > 0", "score must be in [0, 1]"
 
 
 def normalize_yaw(yaw: float) -> float:
@@ -62,9 +64,9 @@ class Box3D:
             (self.l - self.l) + (self.w - self.w) + (self.h - self.h)
         ) == 0.0
         if not (finite and self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError("box values must be finite and dimensions > 0")
+            raise ValueError(_VALUES_RULE)
         if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValueError("score must be in [0, 1]")
+            raise ValueError(_SCORE_RULE)
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
     def footprint(self) -> list[tuple[float, float]]:
@@ -82,12 +84,24 @@ def _footprint(x: float, z: float, l: float, w: float, yaw: float) -> list[tuple
     return [(x + a * s + b * c, z + a * c - b * s) for a, b in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
 
 
+def box_fault(values: np.ndarray, scores: np.ndarray) -> tuple[int, str] | None:
+    """The first row of box columns that breaks a box rule, and the rule it
+    breaks; None if no row does.  The rules are Box3D's, in its order: values
+    finite and dimensions > 0, then a score (NaN for none) in [0, 1]."""
+    bad_values = ~(np.isfinite(values).all(axis=1) & (values[:, 3:6] > 0).all(axis=1))
+    bad = np.flatnonzero(bad_values | (scores < 0.0) | (scores > 1.0))
+    if not len(bad):
+        return None
+    row = int(bad[0])
+    return row, _VALUES_RULE if bad_values[row] else _SCORE_RULE
+
+
 class BoxArray:
     """Boxes as columns: ``values`` is (N, 7) float64 in Box3D field order
     (x, y, z, l, w, h, yaw), ``codes`` indexes ``names`` with each box's
     category, and ``scores`` is NaN where a box has no score.
 
-    Values are checked as Box3D checks them, and yaws are wrapped into
+    Values are checked by :func:`box_fault`, and yaws are wrapped into
     (-pi, pi] with the same float operations, so a box read back through
     :meth:`boxes` equals the one it was made from.
     """
@@ -101,11 +115,9 @@ class BoxArray:
             raise ValueError("box columns must have one entry per box")
         if n and not (codes.min() >= 0 and codes.max() < len(names)):
             raise ValueError("category codes must index names")
-        if not (np.isfinite(values).all() and (values[:, 3:6] > 0).all()):
-            raise ValueError("box values must be finite and dimensions > 0")
-        scored = scores[~np.isnan(scores)]
-        if not ((scored >= 0.0) & (scored <= 1.0)).all():
-            raise ValueError("score must be in [0, 1]")
+        fault = box_fault(values, scores)
+        if fault is not None:
+            raise ValueError(fault[1])
         yaw = np.fmod(values[:, 6], _TAU)  # normalize_yaw, element by element
         low, high = yaw <= -math.pi, yaw > math.pi
         yaw[low] += _TAU

@@ -203,7 +203,9 @@ def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:
     exist (smooth_l1).
 
     The dice formula ``Erf(ell/(sqrt(2) sigma)) / ell**2`` is continued to
-    ``sigma = 0`` by its limit ``1/ell**2``.
+    ``sigma = 0`` by its limit ``1/ell**2``; l1's is 1 at every sigma.  The
+    empirical variance at ``sigma = 0`` is 0 instead, for both: every
+    residual is 0, and :func:`gradient_array` gives 0 at the kink.
     """
     sigma = noise.sigma
     if kind.kind == "l1":

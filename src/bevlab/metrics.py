@@ -14,6 +14,12 @@ The evaluator works on columns.  Each frame holds its boxes as
 are found once per call, by the BEV circumcircles of the boxes; each such
 pair's IoU is computed once, by the vectorized twin of the IoU function, and
 reused for every threshold; matching, binning and AP run on arrays.
+
+An IoU function ``fn`` must carry that twin as ``fn.pairwise(a, b)``: it
+takes two (K, 7) arrays of box values in Box3D field order, returns the K
+IoUs bit-identical to ``fn`` on each row pair, and is zero for boxes whose
+BEV footprints are disjoint.  ``iou3d``, ``bev_iou`` and
+``bench.ray_box_iou`` have one; a function without one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -155,18 +161,15 @@ def _stack(arrays: Sequence[BoxArray], index: Mapping[str, int]):
 
 
 class _Pairs:
-    """Every prediction and ground truth of a frame set as columns, the
-    prediction/GT pairs of one frame and category that can overlap, and each
-    pair's IoU.
-
-    An IoU function with a ``pairwise`` twin (found through
-    ``inspect.unwrap``, so a wrapped function keeps it) is zero for boxes
-    whose footprints are disjoint; its pairs are those whose BEV
-    circumcircles meet, and the twin scores them all in one call.  Any other
-    function is called on every same-category pair of a frame.
-    """
+    """Every prediction and ground truth of a frame set as columns, the pairs
+    of one frame and category whose BEV circumcircles meet, and their IoUs by
+    the IoU function's ``pairwise`` twin.  ``inspect.unwrap`` finds the twin
+    of a wrapper that sets only ``__wrapped__``, as tracing wrappers do."""
 
     def __init__(self, frames: Sequence[FrameSet], iou_fn: IouFn) -> None:
+        twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
+        if twin is None:
+            raise ValueError("iou_fn must have a pairwise twin, as iou3d and bev_iou have")
         names = sorted({n for f in frames for a in (f.pred_boxes, f.gt_boxes) for n in a.names})
         index = {n: k for k, n in enumerate(names)}
         preds, pred_cat, scores = _stack([f.pred_boxes for f in frames], index)
@@ -182,41 +185,18 @@ class _Pairs:
         self.rank = np.empty(len(scores), dtype=np.intp)
         self.rank[self.order] = np.arange(len(scores))
         n_cat = max(len(used), 1)
-        pred_frame = np.repeat(np.arange(len(frames)), [len(f.pred_boxes) for f in frames])
-        gt_frame = np.repeat(np.arange(len(frames)), [len(f.gt_boxes) for f in frames])
-        twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
-        self.pred_idx, self.gt_idx = self._candidates(
-            pred_frame * n_cat + self.pred_cat, gt_frame * n_cat + self.gt_cat, prefilter=twin is not None
-        )
-        if twin is not None:
-            self.iou = np.asarray(twin(preds[self.pred_idx], gts[self.gt_idx]), dtype=np.float64)
-        else:
-            pred_boxes = [b for f in frames for b in f.predictions]
-            gt_boxes = [b for f in frames for b in f.ground_truths]
-            self.iou = np.array(
-                [iou_fn(pred_boxes[i], gt_boxes[j]) for i, j in zip(self.pred_idx.tolist(), self.gt_idx.tolist())],
-                dtype=np.float64,
-            )
-
-    def _candidates(self, pred_group: np.ndarray, gt_group: np.ndarray, prefilter: bool):
-        """(prediction, GT) index pairs within each group; with ``prefilter``,
-        only those whose BEV circumcircles meet.  Each prediction searches the
-        x window its circle can reach among its group's GTs."""
-        preds, gts = self.preds, self.gts
+        pred_group = np.repeat(np.arange(len(frames)), [len(f.pred_boxes) for f in frames]) * n_cat + self.pred_cat
+        gt_group = np.repeat(np.arange(len(frames)), [len(f.gt_boxes) for f in frames]) * n_cat + self.gt_cat
         pred_reach = 0.5 * np.hypot(preds[:, 3], preds[:, 4])
         gt_reach = 0.5 * np.hypot(gts[:, 3], gts[:, 4])
-        if prefilter:
-            group_reach = np.zeros(max(pred_group.max(initial=-1), gt_group.max(initial=-1)) + 1)
-            np.maximum.at(group_reach, gt_group, gt_reach)
-            half = pred_reach + (group_reach[pred_group] + _REACH_SLACK)
-        else:
-            half = np.full(len(preds), math.inf)
+        group_reach = np.zeros(max(pred_group.max(initial=-1), gt_group.max(initial=-1)) + 1)
+        np.maximum.at(group_reach, gt_group, gt_reach)
+        half = pred_reach + (group_reach[pred_group] + _REACH_SLACK)
         pi, gj = _window_pairs(pred_group, preds[:, 0] - half, preds[:, 0] + half, gt_group, gts[:, 0])
-        if prefilter:
-            dist = np.hypot(preds[pi, 0] - gts[gj, 0], preds[pi, 2] - gts[gj, 2])
-            meet = dist <= pred_reach[pi] + gt_reach[gj] + _REACH_SLACK
-            pi, gj = pi[meet], gj[meet]
-        return pi, gj
+        dist = np.hypot(preds[pi, 0] - gts[gj, 0], preds[pi, 2] - gts[gj, 2])
+        meet = dist <= pred_reach[pi] + gt_reach[gj] + _REACH_SLACK
+        self.pred_idx, self.gt_idx = pi[meet], gj[meet]
+        self.iou = np.asarray(twin(preds[self.pred_idx], gts[self.gt_idx]), dtype=np.float64)
 
     def match(self, iou_threshold: float) -> np.ndarray:
         """Greedy matching at one threshold: each prediction's matched GT
@@ -302,6 +282,8 @@ def evaluate(
     ``bins`` must partition [0, inf) into [lo, hi) ranges.  ``groups`` maps
     category -> group name for aggregate APs (e.g. large vs car); mAP
     averages the "all"-bin AP over categories with at least one GT.
+    ``iou_fn`` must have a ``pairwise`` twin (see the module docstring);
+    one without raises ``ValueError``.
     """
     if not frames:
         raise ValueError("frame list must be non-empty")

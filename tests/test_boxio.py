@@ -258,6 +258,27 @@ class TestReadBoxLines:
         path.write_text("\n".join([good, good.replace("0.5}", score + "}")]) + "\n")
         assert outcome(read_box_lines, path) == ("error", f"{path}:2: score must be a number in [0, 1]")
 
+    @pytest.mark.parametrize("faults, message", [
+        ([{"score": "1.5", "x": "1" + "0" * 400}], "1: score must be a number in [0, 1]"),
+        ([{"l": "0", "score": "-0.1"}], "1: score must be a number in [0, 1]"),
+        ([{"score": "NaN", "w": "0"}], "1: score must be a number in [0, 1]"),
+        ([{"l": "0"}, {"h": "true"}], "1: box values must be finite and dimensions > 0"),
+        ([{"score": "1" + "0" * 400}], "1: score must be a number in [0, 1]"),
+    ])
+    def test_which_of_several_faults_is_reported(self, tmp_path, faults, message):
+        # each dict holds the JSON literals that replace a good box's values on one line
+        good = {"frame": "f", "category": "car", "x": 0.5, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0, "h": 1.0,
+                "yaw": 0.0, "score": 0.5}
+        lines = []
+        for literals in faults:
+            line = json.dumps({**good, **{key: "@" + key for key in literals}})
+            for key, literal in literals.items():
+                line = line.replace(f'"@{key}"', literal)
+            lines.append(line)
+        path = tmp_path / "boxes.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert outcome(read_box_lines, path) == outcome(legacy_read_box_lines, path) == ("error", f"{path}:{message}")
+
 
 class TestWriteBoxLines:
     @settings(max_examples=100, deadline=None)

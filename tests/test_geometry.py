@@ -12,6 +12,7 @@ from bevlab.geometry import (
     Box3D,
     RayObject,
     bev_iou,
+    box_fault,
     grid_dice,
     iou3d,
     rasterize,
@@ -255,6 +256,22 @@ class TestBox3D:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError):
             make_box(**{field: value})
+
+    @given(st.lists(st.tuples(st.lists(st.sampled_from([1.0, -2.0, 0.0, math.nan, math.inf, -math.inf]),
+                                       min_size=7, max_size=7),
+                              st.sampled_from([None, 0.0, 0.5, 1.0, 1.5, -0.1, math.inf])), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_box_fault_is_the_first_box3d_error(self, rows):
+        want = None
+        for i, (values, score) in enumerate(rows):
+            try:
+                Box3D(*values, score=score)
+            except ValueError as exc:
+                want = (i, str(exc))
+                break
+        values = np.array([v for v, _ in rows], dtype=np.float64).reshape(-1, 7)
+        scores = np.array([math.nan if s is None else s for _, s in rows], dtype=np.float64)
+        assert box_fault(values, scores) == want
 
 
 def grid_1d(cells=1000, depth=50.0):

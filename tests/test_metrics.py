@@ -360,6 +360,37 @@ class TestColumnarCore:
             FrameSet.from_columns("f", BoxArray(good, [0], ("car",)), BoxArray(good, [0], ("car",)))
 
 
+class TestTwinContract:
+    def test_iou_fn_without_twin_is_rejected(self):
+        f = frame([box(score=0.9)], [box()])
+
+        def plain(a, b):
+            return iou3d(a, b)
+
+        with pytest.raises(ValueError, match="pairwise"):
+            evaluate([f], iou_fn=plain)
+        with pytest.raises(ValueError, match="pairwise"):
+            match_greedy(f, "car", 0.5, iou_fn=plain)
+
+    @given(lattice_frames())
+    @settings(max_examples=50, deadline=None)
+    def test_wrapper_with_only_wrapped_keeps_the_twin(self, frames):
+        # a tracing wrapper that sets __wrapped__ and copies nothing else
+        def traced(a, b):
+            return iou3d(a, b)
+
+        traced.__wrapped__ = iou3d
+        assert not hasattr(traced, "pairwise")
+        got = evaluate(frames, thresholds=(0.5, 0.25), iou_fn=traced)
+        want = evaluate(frames, thresholds=(0.5, 0.25), iou_fn=iou3d)
+        assert got.curves.keys() == want.curves.keys()
+        for key, curve in want.curves.items():
+            assert got.curves[key].points == curve.points, key
+            assert (got.curves[key].ap, got.curves[key].n_gt, got.curves[key].n_pred) == (
+                curve.ap, curve.n_gt, curve.n_pred), key
+        assert got.map_per_threshold == want.map_per_threshold
+
+
 def _scalar_match_greedy(frame, category, iou_threshold, iou_fn=iou3d):
     """The per-object greedy loop the columnar matcher replaced."""
     preds = [(i, p) for i, p in enumerate(frame.predictions) if p.category == category]
