@@ -18,8 +18,12 @@ Two simulation modes:
   A trial draws its T features, then its T noise values; a block of trials
   steps together as one (trials, dim) weight array.
 
-Randomness is counter-based (Philox) and keyed per trial, so results are
-bitwise identical regardless of trial execution order or block size.
+Randomness is counter-based (Philox).  Trial ``i`` of base seed ``b`` draws
+from counter 0 of the stream keyed by
+``SeedSequence([b, i, 0x51D]).generate_state(2, np.uint64)``.  The keys of
+all trials of a call are computed at once, and one generator is re-keyed
+before each trial, so results are bitwise identical regardless of trial
+execution order or block size.
 
 The empirical gradient variance scales one standard-normal draw per base
 seed by sigma.  A :func:`sweep` makes that draw once for all its rows, so each
@@ -29,9 +33,10 @@ row is still exactly its own estimator, but the rows are correlated.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,12 +60,74 @@ __all__ = [
 _TRIAL_STREAM = 0x51D
 _GRAD_STREAM = 0x6EAD
 _ROW_STREAM = 0x5EED
-_BLOCK_BYTES = 4 << 20  # literal mode: feature draws of one block of trials, a few MB
+_BLOCK_BYTES = 4 << 20  # literal mode: all arrays of one block of trials, a few MB
 VARIANCE_SAMPLES = 1_000_000  # noise draws behind each empirical gradient variance
+_MASK32 = 0xFFFFFFFF
 
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words, least significant first, that SeedSequence reads from an int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value: np.ndarray, first: int, rows: int, init: int = 0x43B0D7E5, mult: int = 0x931E8875) -> np.ndarray:
+    """SeedSequence's hashmix at steps ``first .. first + rows - 1`` of its running
+    constant ``init * mult**k`` mod 2**32, one step per row of the result."""
+    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + rows + 1)], np.uint32)
+    value = (value ^ c[:-1, None]) * c[1:, None]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_keys(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(2, np.uint64)`` for each column ``e`` of a (words, n)
+    uint32 array: NumPy's mixing of a pool of four words, each step for all n columns at once."""
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool = _hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 3))
+    for k, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(word, 16 + 4 * k, 4))
+    state = _hashmix(pool, 0, 4, 0x8B51F9DD, 0x58F38DED).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _trial_keys(base_seed: int, trials: range) -> np.ndarray:
+    """Row k is trial ``trials[k]``'s Philox key, ``SeedSequence([base_seed, trials[k], 0x51D])
+    .generate_state(2, np.uint64)``, keyed in pieces split where an index's upper words change."""
+    keys = np.empty((len(trials), 2), dtype=np.uint64)
+    head, tail, start = _words(base_seed), _words(_TRIAL_STREAM), trials.start
+    edges = [start, *range(((start >> 32) + 1) << 32, trials.stop, 1 << 32), trials.stop] if trials else []
+    for a, b in itertools.pairwise(edges):
+        entropy = np.array([*head, 0, *_words(a)[1:], *tail], dtype=np.uint32)
+        entropy = entropy[:, None].repeat(b - a, axis=1)
+        entropy[len(head)] = np.arange(a & _MASK32, (a & _MASK32) + b - a, dtype=np.uint32)
+        keys[a - start : b - start] = _seed_keys(entropy)
+    return keys
+
+
+def _trial_streams(base_seed: int, trials: range) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed to counter 0 of each trial's stream in turn."""
+    bit_generator = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(bit_generator)
+    for state["state"]["key"] in _trial_keys(base_seed, trials).tolist():
+        bit_generator.state = state
+        yield rng
 
 
 def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarray:
@@ -146,7 +213,9 @@ class EnsembleStats:
         ensemble's own base seed, drawn when first read.  :func:`sweep` does
         not read it: its rows share one draw on the template's seed."""
         c = self.config_echo
-        return empirical_gradient_variance(c.loss, c.sigma, c.base_seed)[0]
+        eta = _variance_noise(c.base_seed)
+        eta *= c.sigma
+        return _gradient_variance(c.loss, eta)[0]
 
 
 @dataclass(frozen=True)
@@ -163,27 +232,32 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
     t, dim = config.steps, config.dim
     s = config.schedule.steps(t)
     w = np.empty((len(trials), dim))
+    streams = _trial_streams(config.base_seed, trials)
     if config.mode == "idealized":
-        for row, i in zip(w, trials):
-            rng = _rng(config.base_seed, i, _TRIAL_STREAM)
-            g = s * gradient_array(config.loss, rng.standard_normal(t) * config.sigma)
+        eta = np.empty(t)
+        for row, rng in zip(w, streams):
+            rng.standard_normal(out=eta)
+            eta *= config.sigma
+            g = s * gradient_array(config.loss, eta)
             row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
     else:
-        chunk = max(1, _BLOCK_BYTES // (8 * t * dim))
+        # a block holds its features step-major, its targets, and one trial's draw
+        chunk = max(1, _BLOCK_BYTES // (8 * t * (dim + 1)) - 1)
+        h_trial, eta = np.empty((t, dim)), np.empty(t)
         for start in range(0, len(trials), chunk):
-            rngs = [_rng(config.base_seed, i, _TRIAL_STREAM) for i in trials[start : start + chunk]]
-            block = w[start : start + len(rngs)]
-            h, eta = np.empty((len(rngs), t, dim)), np.empty((len(rngs), t))
-            for rng, h_trial, eta_trial in zip(rngs, h, eta):
+            block = w[start : start + chunk]
+            h, target = np.empty((t, len(block), dim)), np.empty((t, len(block)))
+            for k, rng in zip(range(len(block)), streams):
                 rng.standard_normal(out=h_trial)
-                rng.standard_normal(out=eta_trial)
-            eta *= config.sigma
+                rng.standard_normal(out=eta)
+                eta *= config.sigma
+                h[:, k] = h_trial
+                # target and residual share one reduction, so w = w_star gives 0 exactly
+                target[:, k] = (config.w_star * h_trial).sum(1) - eta
             block[:] = config.w_init
             for j in range(t):
-                hj = h[:, j]
-                # target and residual share one reduction, so w = w_star gives 0 exactly
-                target = (config.w_star * hj).sum(1) - eta[:, j]
-                resid = (block * hj).sum(1) - target
+                hj = h[j]
+                resid = (block * hj).sum(1) - target[j]
                 block -= (s[j] * gradient_array(config.loss, resid))[:, None] * hj
     dev = w - config.w_star
     return w, (dev * dev).sum(1)
@@ -194,6 +268,12 @@ def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
     of the final weight from the optimum."""
     w, dev_sq = _simulate(config, range(trial_index, trial_index + 1))
     return TrialResult(final_weight=w[0], deviation_sq=float(dev_sq[0]), trial_index=trial_index)
+
+
+def _gradient_variance(loss: LossKind, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Variance of the loss gradients at the residuals ``eta``, and the gradients."""
+    eps = gradient_array(loss, eta)
+    return float(np.var(eps)), eps
 
 
 def empirical_gradient_variance(
@@ -209,8 +289,7 @@ def empirical_gradient_variance(
         raise ValueError("samples must be >= 2")
     eta = _variance_noise(base_seed, samples)
     eta *= sigma
-    eps = gradient_array(loss, eta)
-    var = float(np.var(eps))
+    var, eps = _gradient_variance(loss, eta)
     sq = (eps - eps.mean()) ** 2
     se = float(np.std(sq) / np.sqrt(samples))
     return var, se
@@ -283,6 +362,6 @@ def sweep(
         np.multiply(z, noise.sigma, out=eta)
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,
                              var_closed=closed_form_variance(loss, noise),
-                             var_empirical=float(np.var(gradient_array(loss, eta))),
+                             var_empirical=_gradient_variance(loss, eta)[0],
                              mean_dev=stats.mean_deviation_sq, std_err=stats.std_error))
     return rows

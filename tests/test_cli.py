@@ -473,6 +473,15 @@ SWEEP_AXIS_PROBES = {
 }
 
 
+# a negative seed is rejected before any work: exit 2 with numpy's SeedSequence message
+NEGATIVE_SEED_PROBES = {
+    "sgd-seed-negative": "sgd --loss l2 --sigma 0.5 --steps 5 --trials 2 --seed -1",
+    "variance-seed-negative": "variance --loss l1 --sigma 1 --samples 10 --seed -1",
+    "sweep-seed-negative": "sweep --lengths 12 --sigmas 0.5 --losses l1 --trials 2 --steps 5 --dim 2 --seed -1",
+    "theorem1-seed-negative": "theorem1 --length 12 --sigma 0.5 --seeds 1 --objects 10 --steps 5 --seed -1",
+}
+
+
 @pytest.fixture
 def range_probe_files(probe_files):
     """The boundary probe files plus a valid grid-pair manifest and one
@@ -531,6 +540,10 @@ class TestBoundary:
         monkeypatch.setattr(sgd, "run_ensemble", no_work)
         monkeypatch.setattr(sgd, "_variance_noise", no_work)
         run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
+
+    @pytest.mark.parametrize("command", NEGATIVE_SEED_PROBES.values(), ids=NEGATIVE_SEED_PROBES.keys())
+    def test_negative_seed(self, command, probe_files, capsys):
+        run_probe(command, EXIT_FLAGS, "expected non-negative integer", probe_files, capsys)
 
     def test_threshold_one_is_accepted(self, range_probe_files, capsys):
         # both grids are empty, so the union is too

@@ -345,8 +345,8 @@ class TestSimulatorAgainstOldPaths:
     def test_ensemble_across_blocks_equals_single_trials(self, mode, monkeypatch):
         cfg = SgdConfig(dim=3, sigma=0.5, loss=LossKind.dice(2.0), steps=100, trials=7, mode=mode,
                         w_star=np.array([1.0, -2.0, 0.5]), base_seed=6)
-        # literal blocks of 3, 3 and 1 trials
-        monkeypatch.setattr(sgd, "_BLOCK_BYTES", 3 * 8 * cfg.steps * cfg.dim)
+        # literal blocks of 3, 3 and 1 trials: a block's bound also covers one trial's draw buffers
+        monkeypatch.setattr(sgd, "_BLOCK_BYTES", (3 + 1) * 8 * cfg.steps * (cfg.dim + 1))
         single = [run_trial(cfg, i) for i in range(cfg.trials)]
         weights, dev_sq = sgd._simulate(cfg, range(cfg.trials))
         assert np.array_equal(weights, [r.final_weight for r in single])
@@ -358,16 +358,125 @@ class TestSimulatorAgainstOldPaths:
 
     def test_variance_drawn_only_when_read(self, monkeypatch):
         calls = []
+        draw = sgd._variance_noise
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return empirical_gradient_variance(*args, **kwargs)
+            return draw(*args, **kwargs)
 
-        monkeypatch.setattr(sgd, "empirical_gradient_variance", counted)
+        expected = empirical_gradient_variance(LossKind.dice(4.0), 0.7, 12)[0]
+        monkeypatch.setattr(sgd, "_variance_noise", counted)
         cfg = SgdConfig(dim=2, sigma=0.7, loss=LossKind.dice(4.0), steps=50, trials=3, base_seed=12)
         stats = run_ensemble(cfg)
         assert calls == []
-        expected = empirical_gradient_variance(LossKind.dice(4.0), 0.7, 12)[0]
         assert stats.empirical_grad_variance == expected
         assert stats.empirical_grad_variance == expected
         assert len(calls) == 1  # drawn once, on the first read
+
+
+def seed_sequence_keys(base_seed, trials):
+    return np.array([np.random.SeedSequence([base_seed, i, 0x51D]).generate_state(2, np.uint64) for i in trials],
+                    dtype=np.uint64).reshape(-1, 2)
+
+
+def parent_idealized_weight(config, trial_index):
+    """The idealized trial as it was with one generator built per trial."""
+    rng = _trial_rng(config, trial_index)
+    t = config.steps
+    g = config.schedule.steps(t) * gradient_array(config.loss, rng.standard_normal(t) * config.sigma)
+    return config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(config.dim)
+
+
+def parent_literal_weights(config, trials, chunk):
+    """The literal block loop as it was with one generator built per trial
+    and each step's targets reduced inside the step loop."""
+    t, dim = config.steps, config.dim
+    s = config.schedule.steps(t)
+    w = np.empty((len(trials), dim))
+    for start in range(0, len(trials), chunk):
+        rngs = [_trial_rng(config, i) for i in trials[start : start + chunk]]
+        block = w[start : start + len(rngs)]
+        h, eta = np.empty((len(rngs), t, dim)), np.empty((len(rngs), t))
+        for rng, h_trial, eta_trial in zip(rngs, h, eta):
+            rng.standard_normal(out=h_trial)
+            rng.standard_normal(out=eta_trial)
+        eta *= config.sigma
+        block[:] = config.w_init
+        for j in range(t):
+            hj = h[:, j]
+            target = (config.w_star * hj).sum(1) - eta[:, j]
+            resid = (block * hj).sum(1) - target
+            block -= (s[j] * gradient_array(config.loss, resid))[:, None] * hj
+    return w
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("trials", [range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2),
+                                        range(9, 9)], ids=["from-0", "across-2^32", "across-2^64", "empty"])
+    def test_keys_equal_seed_sequence(self, base_seed, trials):
+        keys = sgd._trial_keys(base_seed, trials)
+        assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+        assert np.array_equal(keys, seed_sequence_keys(base_seed, trials))
+
+    @pytest.mark.parametrize("loss", [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.5), LossKind.dice(2.0)],
+                             ids=["l1", "l2", "smooth_l1", "dice"])
+    @pytest.mark.parametrize("base_seed", [0, 7, 2**33 + 1])
+    def test_idealized_equals_one_generator_per_trial(self, loss, base_seed):
+        cfg = SgdConfig(dim=3, sigma=0.6, loss=loss, steps=150, trials=9, base_seed=base_seed)
+        expected = np.array([parent_idealized_weight(cfg, i) for i in range(cfg.trials)])
+        weights, dev_sq = sgd._simulate(cfg, range(cfg.trials))
+        assert np.array_equal(weights, expected)
+        devs = ((expected - cfg.w_star) ** 2).sum(1)
+        assert np.array_equal(dev_sq, devs)
+        stats = run_ensemble(cfg)
+        assert stats.mean_deviation_sq == devs.mean()
+        assert stats.std_error == devs.std(ddof=1) / math.sqrt(cfg.trials)
+        for i in (0, 4, 2**32 + 3):
+            assert np.array_equal(run_trial(cfg, i).final_weight, parent_idealized_weight(cfg, i))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 9, 17, 130])
+    def test_literal_equals_parent_block_loop(self, dim, monkeypatch):
+        cfg = SgdConfig(dim=dim, sigma=0.5, loss=LossKind.dice(2.0), steps=60, trials=7, mode="literal",
+                        w_star=np.linspace(-1.0, 2.0, dim), base_seed=13)
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(sgd, "_BLOCK_BYTES", (chunk + 1) * 8 * cfg.steps * (cfg.dim + 1))
+            weights, _ = sgd._simulate(cfg, range(2, 2 + cfg.trials))
+            assert np.array_equal(weights, parent_literal_weights(cfg, range(2, 2 + cfg.trials), 3)), chunk
+
+    @pytest.mark.parametrize("mode", ["idealized", "literal"])
+    def test_one_bit_generator_per_simulation(self, mode, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(sgd, "_BLOCK_BYTES", 0)  # literal blocks of one trial
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=20, trials=6, mode=mode, base_seed=4)
+        run_ensemble(cfg)
+        assert len(built) == 1
+        run_trial(cfg, 3)
+        assert len(built) == 2
+
+    def test_negative_seed_or_index_is_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence([-1, 0, sgd._TRIAL_STREAM])
+        message = str(numpy_error.value)
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=10, trials=3)
+        for mode in ("idealized", "literal"):
+            bad_seed = replace(cfg, mode=mode, base_seed=-1)
+            for call in (lambda: run_ensemble(bad_seed), lambda: run_trial(bad_seed, 0),
+                         lambda: run_trial(replace(cfg, mode=mode), -1), lambda: sgd._trial_keys(0, range(-2, 3))):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == message
+
+    def test_trial_index_past_2_to_the_32(self):
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=10)
+        assert np.array_equal(run_trial(cfg, 2**32 + 3).final_weight, parent_idealized_weight(cfg, 2**32 + 3))
+        literal = replace(cfg, mode="literal")
+        expected = parent_literal_weights(literal, range(2**32 + 3, 2**32 + 4), 1)[0]
+        assert np.array_equal(run_trial(literal, 2**32 + 3).final_weight, expected)
