@@ -1,10 +1,11 @@
 import math
 import struct
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bevlab.geometry import (
@@ -462,6 +463,91 @@ class TestRasterizeMatchesReference:
         # 257 different windows over the same cells: a count kept in one byte would wrap to 1
         template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
         assert self.assert_same([make_box(x=0.25 + k / 1024, z=0.5, l=0.5, w=0.5) for k in range(257)], template).any()
+
+
+def exact_union_in_cell(rects, cx0, cx1, cz0, cz1) -> Fraction:
+    """Exact area of the union of rectangles (x0, x1, z0, z1) within one cell,
+    all in Fractions: compress the clipped edges into a lattice and add up
+    the lattice rectangles that some rectangle covers."""
+    clipped = [(max(x0, cx0), min(x1, cx1), max(z0, cz0), min(z1, cz1)) for x0, x1, z0, z1 in rects]
+    clipped = [r for r in clipped if r[1] > r[0] and r[3] > r[2]]
+    xs = sorted({e for r in clipped for e in r[:2]})
+    zs = sorted({e for r in clipped for e in r[2:]})
+    area = Fraction(0)
+    for xa, xb in zip(xs, xs[1:]):
+        for za, zb in zip(zs, zs[1:]):
+            if any(x0 <= xa and xb <= x1 and z0 <= za and zb <= z1 for x0, x1, z0, z1 in clipped):
+                area += (xb - xa) * (zb - za)
+    return area
+
+
+# A grid with whole-meter cells, whose lines and rectangle edges are exact
+# floats, and one whose cell sides are not representable.
+ORACLE_GRIDS = [BevGrid(rows=5, cols=7, extent=(-3.0, 4.0, 1.5, 6.5)), BevGrid(rows=6, cols=5, extent=(-3.3, 4.1, 1.7, 6.2))]
+
+
+@st.composite
+def overlapping_rects(draw, grid):
+    """Axis-aligned boxes with edges on cell lines, one ulp off them, at
+    random, or shared with an earlier box, and some boxes repeated."""
+    x_min, x_max, z_min, z_max = grid.extent
+    x_lines = [x_min + j * grid.cell_width for j in range(grid.cols + 1)]
+    z_lines = [z_min + i * grid.cell_depth for i in range(grid.rows + 1)]
+
+    def pick(values):
+        return values[draw(st.integers(0, len(values) - 1))]
+
+    def edge(lines, earlier, lo, hi):
+        kind = draw(st.integers(0, 4 if earlier else 3))
+        if kind == 3:
+            return draw(st.floats(lo - 1.0, hi + 1.0))
+        if kind == 4:
+            return pick(earlier)
+        line = pick(lines)
+        return line if kind == 0 else math.nextafter(line, (-math.inf, math.inf)[kind - 1])
+
+    rects = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rects and draw(st.integers(0, 3)) == 0:
+            rects.append(pick(rects))  # coincident
+            continue
+        xs = [edge(x_lines, [e for r in rects for e in r[:2]], x_min, x_max) for _ in range(2)]
+        zs = [edge(z_lines, [e for r in rects for e in r[2:]], z_min, z_max) for _ in range(2)]
+        assume(xs[0] != xs[1] and zs[0] != zs[1])
+        rects.append((min(xs), max(xs), min(zs), max(zs)))
+    along_x = draw(st.booleans())  # yaw pi/2 puts the length along x
+    return [make_box(x=0.5 * (x0 + x1), z=0.5 * (z0 + z1), yaw=math.pi / 2 if along_x else 0.0,
+                     l=x1 - x0 if along_x else z1 - z0, w=z1 - z0 if along_x else x1 - x0)
+            for x0, x1, z0, z1 in rects]
+
+
+class TestRasterizeExactUnion:
+    """Each axis-aligned cell value against its exact union area, computed in
+    Fractions from the boxes' centers and sizes: an oracle that shares no
+    code or float operation with rasterize."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["whole-meter-cells", "odd-cells"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_cells_equal_exact_union_area(self, grid, data):
+        boxes = data.draw(overlapping_rects(grid))
+        got = rasterize(boxes, grid).cells
+        x_min, x_max, z_min, z_max = map(Fraction, grid.extent)
+        dw, dd = (x_max - x_min) / grid.cols, (z_max - z_min) / grid.rows
+        rects = []
+        for b in boxes:
+            x, z, half_x, half_z = map(Fraction, (b.x, b.z, *((b.l, b.w) if b.yaw != 0.0 else (b.w, b.l))))
+            rects.append((x - half_x / 2, x + half_x / 2, z - half_z / 2, z + half_z / 2))
+        # a float edge in a cell is within an ulp of the extent's largest
+        # magnitude, so a cell value may be off by a few such ulps per box,
+        # over the cell side (1,500 examples per grid erred by at most 26 eps)
+        scale = max(map(abs, grid.extent)) / min(grid.cell_width, grid.cell_depth)
+        tol = 4 * (len(boxes) + 1) * np.finfo(float).eps * (1.0 + scale)
+        for i in range(grid.rows):
+            for j in range(grid.cols):
+                cx0, cz0 = x_min + j * dw, z_min + i * dd
+                want = exact_union_in_cell(rects, cx0, cx0 + dw, cz0, cz0 + dd) / (dw * dd)
+                assert abs(got[i, j] - float(want)) <= tol, (i, j, got[i, j], float(want))
 
 
 class TestGridDice:
