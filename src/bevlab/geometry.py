@@ -11,7 +11,6 @@ row-major with rows spanning z and columns spanning x.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -402,97 +401,76 @@ _AXIS_EPS = 1e-9
 _SUPERSAMPLE = 4
 
 
-def _axis_aligned_rect(box: Box3D) -> tuple[float, float, float, float] | None:
-    """(x_lo, x_hi, z_lo, z_hi) when the footprint is axis-aligned, else None."""
-    s, c = math.sin(box.yaw), math.cos(box.yaw)
-    if abs(s) < _AXIS_EPS:  # length along z
-        dx, dz = 0.5 * box.w, 0.5 * box.l
-    elif abs(c) < _AXIS_EPS:  # length along x
-        dx, dz = 0.5 * box.l, 0.5 * box.w
-    else:
-        return None
-    return (box.x - dx, box.x + dx, box.z - dz, box.z + dz)
+def _union_areas(x0, x1, z0, z1, cx0, cx1, cz0, cz1) -> np.ndarray:
+    """Exact area of the union of the k rectangles in each column of the
+    (k, cells) edge arrays, clipped to that column's cell.  Each column's
+    rectangles come in order of their lower z edge.
 
-
-def _union_area_in_cell(rects, cx0, cx1, cz0, cz1) -> float:
-    """Exact union area of axis-aligned rectangles clipped to one cell."""
-    clipped = []
-    xs = {cx0, cx1}
-    for (x0, x1, z0, z1) in rects:
-        x0, x1 = max(x0, cx0), min(x1, cx1)
-        z0, z1 = max(z0, cz0), min(z1, cz1)
-        if x1 > x0 and z1 > z0:
-            clipped.append((x0, x1, z0, z1))
-            xs.add(x0)
-            xs.add(x1)
-    if not clipped:
-        return 0.0
-    xs = sorted(xs)
-    area = 0.0
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        spans = sorted((z0, z1) for (x0, x1, z0, z1) in clipped if x0 <= mid <= x1)
-        covered = 0.0
-        cur_lo = cur_hi = None
-        for z0, z1 in spans:
-            if cur_lo is None:
-                cur_lo, cur_hi = z0, z1
-            elif z0 <= cur_hi:
-                cur_hi = max(cur_hi, z1)
-            else:
-                covered += cur_hi - cur_lo
-                cur_lo, cur_hi = z0, z1
-        if cur_lo is not None:
-            covered += cur_hi - cur_lo
-        area += covered * (b - a)
+    The clipped x edges cut a cell into 2k + 1 segments.  A rectangle covers
+    a segment when the segment's midpoint lies on it; the z spans that cover
+    a segment are merged in order, and each segment adds its covered length
+    times its width, left to right.  A rectangle clipped away puts its edges
+    on the cell's right edge, so its segments have width 0.0 and add 0.0,
+    which is exact.  Cells run along the last axis, so that every NumPy
+    operation runs over many cells at once."""
+    x0, x1, z0, z1 = np.maximum(x0, cx0), np.minimum(x1, cx1), np.maximum(z0, cz0), np.minimum(z1, cz1)
+    live = (x1 > x0) & (z1 > z0)
+    edges = np.vstack([cx0, np.where(live, x0, cx1), np.where(live, x1, cx1), cx1])
+    if len(x0) > 1:  # one rectangle's edges are in order already
+        edges.sort(axis=0)
+    left, right = edges[:-1], edges[1:]
+    mid = 0.5 * (left + right)
+    # per rectangle, the segments whose midpoint lies on it: (segment, cell) each
+    covers = (live[r] & (x0[r] <= mid) & (mid <= x1[r]) for r in range(len(x0)))
+    # the first rectangle starts the merged span where it covers a segment;
+    # elsewhere the span is empty at the cell's lower edge, and adds 0.0
+    on = next(covers)
+    lo, hi = np.where(on, z0[0], cz0), np.where(on, z1[0], cz0)
+    covered = 0.0
+    for r, on in enumerate(covers, 1):
+        gap = on & (z0[r] > hi)
+        covered = np.where(gap, covered + (hi - lo), covered)
+        lo = np.where(gap, z0[r], lo)
+        hi = np.where(on, np.maximum(hi, z1[r]), hi)
+    strips = (covered + (hi - lo)) * (right - left)
+    area = strips[0]
+    for strip in strips[1:]:
+        area = area + strip
     return area
 
 
-def _rasterize_axis_aligned(rects, grid: BevGrid) -> None:
+def _rasterize_axis_aligned(rects: np.ndarray, grid: BevGrid) -> None:
+    """Fill the cells of the (4, N) rectangle edges x0, x1, z0, z1."""
     x_min, _, z_min, _ = grid.extent
     dw, dd = grid.cell_width, grid.cell_depth
-    windows = []  # (rect, rows, cols) of the cells each rectangle may touch
-    touched = np.zeros((grid.rows, grid.cols), dtype=np.uint8)  # windows over each cell, counted up to 2
-    for rect in rects:
-        x0, x1, z0, z1 = rect
-        j0 = max(0, int(math.floor((x0 - x_min) / dw)))
-        j1 = min(grid.cols - 1, int(math.ceil((x1 - x_min) / dw)))
-        i0 = max(0, int(math.floor((z0 - z_min) / dd)))
-        i1 = min(grid.rows - 1, int(math.ceil((z1 - z_min) / dd)))
-        if x1 <= x_min or z1 <= z_min or j0 > j1 or i0 > i1:
-            continue
-        rows, cols = slice(i0, i1 + 1), slice(j0, j1 + 1)
-        windows.append((rect, rows, cols))
-        touched[rows, cols] += touched[rows, cols] < 2
-    cell_area = dw * dd
-    shared: dict[tuple[int, int], list] = defaultdict(list)
-    for rect, rows, cols in windows:
-        x0, x1, z0, z1 = rect
-        cx0 = x_min + np.arange(cols.start, cols.stop) * dw
-        cz0 = z_min + np.arange(rows.start, rows.stop) * dd
-        cx1, cz1 = cx0 + dw, cz0 + dd
-        # _union_area_in_cell of this one rectangle, in its operand order: the
-        # x segments [cx0, xa], [xa, xb], [xb, cx1] each add z-cover * width,
-        # and a sliver counts when its midpoint rounds onto the rectangle
-        xa, xb = np.maximum(x0, cx0), np.minimum(x1, cx1)
-        za, zb = np.maximum(z0, cz0), np.minimum(z1, cz1)
-        cover = (zb - za)[:, None]
-        left = (cx0 < xa) & (0.5 * (cx0 + xa) >= xa)
-        right = (xb < cx1) & (0.5 * (xb + cx1) <= xb)
-        area = (np.where(left, cover * (xa - cx0), 0.0) + cover * (xb - xa)) + np.where(right, cover * (cx1 - xb), 0.0)
-        inside = (zb > za)[:, None] & (xb > xa)
-        alone = touched[rows, cols] == 1
-        block = grid.cells[rows, cols]
-        block[alone] = np.minimum(np.where(inside, area, 0.0)[alone] / cell_area, 1.0)  # clipped as written: area >= 0
-        for i, j in np.argwhere(~alone).tolist():
-            shared[(rows.start + i, cols.start + j)].append(rect)
-    for (i, j), rlist in shared.items():
-        cx0 = x_min + j * dw
-        cz0 = z_min + i * dd
-        grid.cells[i, j] = min(_union_area_in_cell(rlist, cx0, cx0 + dw, cz0, cz0 + dd) / cell_area, 1.0)
+    rects = rects[:, np.argsort(rects[2], kind="stable")]  # by z0, so each cell's rectangles come in that order
+    origin, side, shape = np.array([[x_min], [z_min]]), np.array([[dw], [dd]]), np.array([[grid.cols], [grid.rows]])
+    # each rectangle's window of (column, row) cells, bounded as floats so that
+    # a bound far off the grid, even +-inf, still casts to int
+    start = np.clip(np.floor((rects[0::2] - origin) / side), 0, shape)
+    stop = np.clip(np.ceil((rects[1::2] - origin) / side), -1, shape - 1)
+    j0, i0 = start.astype(np.intp)
+    # a window's columns and rows; none where it misses the grid
+    width, height = np.where(rects[1::2] > origin, stop - start + 1, 0).clip(0).astype(np.intp)
+    # every (cell, rectangle) pair of the windows, grouped by cell
+    size = width * height
+    rect = np.repeat(np.arange(len(size)), size)
+    row, col = np.divmod(np.arange(len(rect)) - np.repeat(np.cumsum(size) - size, size), width[rect])
+    cell = (i0 * grid.cols + j0)[rect] + row * grid.cols + col
+    order = np.argsort(cell, kind="stable")
+    cell, rect = cell[order], rect[order]
+    starts = np.ones(len(cell), dtype=bool)  # where each cell's run of pairs starts
+    starts[1:] = cell[1:] != cell[:-1]
+    bounds = np.append(np.flatnonzero(starts), len(cell))
+    first, count = bounds[:-1], np.diff(bounds)
+    cells = grid.cells.reshape(-1)
+    for k in np.flatnonzero(np.bincount(count)).tolist():  # the cells that k rectangles' windows cover
+        at = first[count == k]
+        x0, x1, z0, z1 = rects.take(rect[at + np.arange(k)[:, None]], axis=1)
+        i, j = np.divmod(cell[at], grid.cols)
+        cx0, cz0 = x_min + j * dw, z_min + i * dd
+        area = _union_areas(x0, x1, z0, z1, cx0, cx0 + dw, cz0, cz0 + dd)
+        cells[cell[at]] = np.minimum(area / (dw * dd), 1.0)
 
 
 def _subsample_window(center: float, half: float, lo: float, step: float, count: int) -> tuple[int, int]:
@@ -505,7 +483,7 @@ def _subsample_window(center: float, half: float, lo: float, step: float, count:
     return int(math.floor(first)) // n, -(-int(math.ceil(last)) // n)
 
 
-def _rasterize_supersampled(boxes, grid: BevGrid) -> None:
+def _rasterize_supersampled(keys, sines, cosines, grid: BevGrid) -> None:
     x_min, x_max, z_min, z_max = grid.extent
     n = _SUPERSAMPLE
     nx, nz = grid.cols * n, grid.rows * n
@@ -513,19 +491,18 @@ def _rasterize_supersampled(boxes, grid: BevGrid) -> None:
     zs = z_min + (np.arange(nz) + 0.5) * (z_max - z_min) / nz
     covered = np.zeros((nz, nx), dtype=bool)
     windows = []
-    for box in boxes:
-        s, c = math.sin(box.yaw), math.cos(box.yaw)
+    for (x, z, l, w, _), s, c in zip(keys, sines, cosines):
         # test only the subsamples of the cells the footprint's bounding box meets
-        c0, c1 = _subsample_window(box.x, 0.5 * (box.l * abs(s) + box.w * abs(c)), x_min, (x_max - x_min) / nx, nx)
-        r0, r1 = _subsample_window(box.z, 0.5 * (box.l * abs(c) + box.w * abs(s)), z_min, (z_max - z_min) / nz, nz)
+        c0, c1 = _subsample_window(x, 0.5 * (l * abs(s) + w * abs(c)), x_min, (x_max - x_min) / nx, nx)
+        r0, r1 = _subsample_window(z, 0.5 * (l * abs(c) + w * abs(s)), z_min, (z_max - z_min) / nz, nz)
         if c0 >= c1 or r0 >= r1:
             continue
         rows, cols = slice(r0 * n, r1 * n), slice(c0 * n, c1 * n)
-        dx = xs[None, cols] - box.x
-        dz = zs[rows, None] - box.z
+        dx = xs[None, cols] - x
+        dz = zs[rows, None] - z
         along = dx * s + dz * c
         across = dx * c - dz * s
-        covered[rows, cols] |= (np.abs(along) <= 0.5 * box.l) & (np.abs(across) <= 0.5 * box.w)
+        covered[rows, cols] |= (np.abs(along) <= 0.5 * l) & (np.abs(across) <= 0.5 * w)
         windows.append((slice(r0, r1), slice(c0, c1)))
     for rows, cols in windows:
         block = covered[rows.start * n : rows.stop * n, cols.start * n : cols.stop * n]
@@ -535,19 +512,25 @@ def _rasterize_supersampled(boxes, grid: BevGrid) -> None:
 def rasterize(boxes, template: BevGrid) -> BevGrid:
     """Soft-occupancy rasterization of box footprints onto a fresh grid.
 
-    ``boxes`` is a :class:`BoxArray` or an iterable of :class:`Box3D`.
-    Axis-aligned inputs take an exact interval-arithmetic path; rotated boxes
-    fall back to 4x4 regular supersampling per cell.
+    ``boxes`` is a :class:`BoxArray` or an iterable of :class:`Box3D`; both
+    are read as columns.  When every footprint is axis-aligned, each cell
+    that a footprint's window of cells covers gets the exact area of the
+    union of the footprints in it, all cells at once, grouped by how many
+    windows cover them.  Otherwise every footprint is sampled 4x4 per cell.
     """
     grid = template.like()
-    boxes = boxes.boxes() if isinstance(boxes, BoxArray) else list(boxes)
-    if not boxes:
+    keys = boxes.values[:, _BEV_COLUMNS] if isinstance(boxes, BoxArray) else np.array([_bev_key(b) for b in boxes])
+    if not len(keys):
         return grid
-    rects = [_axis_aligned_rect(b) for b in boxes]
-    if all(r is not None for r in rects):
-        _rasterize_axis_aligned(rects, grid)
+    x, z, l, w, yaw = keys.T
+    sines, cosines = ([f(v) for v in yaw.tolist()] for f in (math.sin, math.cos))
+    along_z, along_x = np.abs(sines) < _AXIS_EPS, np.abs(cosines) < _AXIS_EPS
+    if (along_z | along_x).all():
+        dx, dz = 0.5 * np.where(along_z, w, l), 0.5 * np.where(along_z, l, w)
+        with np.errstate(over="ignore"):  # an edge or window bound far off the grid may round to +-inf
+            _rasterize_axis_aligned(np.array([x - dx, x + dx, z - dz, z + dz]), grid)
     else:
-        _rasterize_supersampled(boxes, grid)
+        _rasterize_supersampled(keys.tolist(), sines, cosines, grid)
     return grid
 
 
@@ -561,4 +544,4 @@ def grid_dice(pred: BevGrid, gt: BevGrid) -> float:
     denom = float(pred.cells.sum() + gt.cells.sum())
     if denom == 0.0:
         return 1.0
-    return float(2.0 * np.sum(pred.cells * gt.cells) / denom)
+    return float(2.0 * np.vdot(pred.cells, gt.cells) / denom)

@@ -555,6 +555,18 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {range_probe_files['trailing_csv']}:1: ") and "trailing bytes" in err
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("far", [1.7e308, -1.7e308])
+    def test_box_far_off_a_fine_grid(self, axis, far, tmp_path, capsys):
+        # a valid box whose window bounds divide to +-inf rasterizes to an empty grid
+        inp, out = tmp_path / "far.jsonl", tmp_path / "far.bevg"
+        write_jsonl(inp, [box_record(**{axis: far})])
+        argv = ["rasterize", "--input", str(inp), "--rows", "1000", "--cols", "1000", "--extent", "0,1,0,10",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == f"rasterized 1 boxes onto 1000x1000 grid -> {out}\n"
+        assert not gridio.read_grid(out).cells.any()
+
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one
         run_probe("eval --pred {dir} --gt {gt_jsonl}", EXIT_INPUT_PARSE, "Is a directory", probe_files, capsys)

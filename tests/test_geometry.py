@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from collections import defaultdict
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bevlab.geometry import (
     BevGrid,
     Box3D,
+    BoxArray,
     RayObject,
     bev_iou,
     box_fault,
@@ -21,7 +23,7 @@ from bevlab.geometry import (
     ray_iou,
 )
 from bevlab import gridio
-from bevlab.geometry import _axis_aligned_rect, _footprint_intersection_area, _footprint_overlaps, _union_area_in_cell
+from bevlab.geometry import _AXIS_EPS, _footprint_intersection_area, _footprint_overlaps
 
 
 def make_box(x=0.0, z=0.0, l=4.0, w=2.0, h=1.5, yaw=0.0, y=0.0, **kw):
@@ -306,6 +308,16 @@ class TestRasterize:
         grid = rasterize([ray_box(500.0, 2.0)], grid_1d())
         assert not grid.cells.any()
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    @pytest.mark.parametrize("far", [1.7e308, -1.7e308])
+    def test_box_far_off_a_fine_grid(self, axis, far):
+        # the window bounds divide to +-inf on 1 mm cells; with 1e308 m sides an edge rounds to +-inf too
+        template = BevGrid(rows=1000, cols=1000, extent=(0.0, 1.0, 0.0, 10.0))
+        for yaw, side in itertools.product((0.0, math.pi / 2, 0.3), (2.0, 1e308)):
+            box = make_box(**{"x": 0.5, "z": 5.0, axis: far}, yaw=yaw, l=side, w=side)
+            assert not rasterize([box], template).cells.any()
+            assert not rasterize(BoxArray.from_boxes([box]), template).cells.any()
+
     def test_rotated_supersampled_close_to_exact_area(self):
         template = BevGrid(rows=100, cols=100, extent=(-5, 5, -5, 5))
         box = Box3D(x=0, y=0, z=0, l=4, w=2, h=1, yaw=0.6)
@@ -320,8 +332,57 @@ class TestRasterize:
         assert grid.cells.max() <= 1.0
 
 
-# The per-cell rasterizers as they were before windowing, kept as references:
-# the windowed paths must give the same grid bit for bit.
+# The per-cell rasterizers as they were before windowing, kept as references
+# with their scalar helpers: the columnar paths must give the same grid bit for bit.
+def _axis_aligned_rect(box: Box3D) -> tuple[float, float, float, float] | None:
+    """(x_lo, x_hi, z_lo, z_hi) when the footprint is axis-aligned, else None."""
+    s, c = math.sin(box.yaw), math.cos(box.yaw)
+    if abs(s) < _AXIS_EPS:  # length along z
+        dx, dz = 0.5 * box.w, 0.5 * box.l
+    elif abs(c) < _AXIS_EPS:  # length along x
+        dx, dz = 0.5 * box.l, 0.5 * box.w
+    else:
+        return None
+    return (box.x - dx, box.x + dx, box.z - dz, box.z + dz)
+
+
+def _union_area_in_cell(rects, cx0, cx1, cz0, cz1) -> float:
+    """Exact union area of axis-aligned rectangles clipped to one cell."""
+    clipped = []
+    xs = {cx0, cx1}
+    for (x0, x1, z0, z1) in rects:
+        x0, x1 = max(x0, cx0), min(x1, cx1)
+        z0, z1 = max(z0, cz0), min(z1, cz1)
+        if x1 > x0 and z1 > z0:
+            clipped.append((x0, x1, z0, z1))
+            xs.add(x0)
+            xs.add(x1)
+    if not clipped:
+        return 0.0
+    xs = sorted(xs)
+    area = 0.0
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        if b <= a:
+            continue
+        mid = 0.5 * (a + b)
+        spans = sorted((z0, z1) for (x0, x1, z0, z1) in clipped if x0 <= mid <= x1)
+        covered = 0.0
+        cur_lo = cur_hi = None
+        for z0, z1 in spans:
+            if cur_lo is None:
+                cur_lo, cur_hi = z0, z1
+            elif z0 <= cur_hi:
+                cur_hi = max(cur_hi, z1)
+            else:
+                covered += cur_hi - cur_lo
+                cur_lo, cur_hi = z0, z1
+        if cur_lo is not None:
+            covered += cur_hi - cur_lo
+        area += covered * (b - a)
+    return area
+
+
 def reference_axis_aligned(rects, grid):
     x_min, _, z_min, _ = grid.extent
     dw, dd = grid.cell_width, grid.cell_depth
@@ -379,7 +440,41 @@ class TestRasterizeMatchesReference:
     def assert_same(self, boxes, template=ODD_GRID):
         got = rasterize(boxes, template).cells
         assert np.array_equal(got, reference_rasterize(boxes, template).cells)
+        assert np.array_equal(rasterize(BoxArray.from_boxes(boxes), template).cells, got)
         return got
+
+    @pytest.mark.parametrize("count", [600, 3000])
+    def test_random_overlapping_boxes(self, count):
+        # 1-5 m boxes on 0.5 m cells, some straddling the extent: up to 6 and 15 windows over a cell
+        rng = np.random.default_rng(count)
+        template = BevGrid(rows=200, cols=200, extent=(-50.0, 50.0, 0.0, 100.0))
+        boxes = [make_box(x=float(rng.uniform(-52, 52)), z=float(rng.uniform(-2, 102)), l=float(rng.uniform(1, 5)),
+                          w=float(rng.uniform(1, 5)), yaw=float(rng.choice([0.0, math.pi / 2, -math.pi / 2, math.pi])))
+                 for _ in range(count)]
+        assert self.assert_same(boxes, template).any()
+
+    def test_edges_on_cell_lines_stacked(self):
+        # every edge on a cell line of the first grid, up to 33 windows over a cell
+        template = BevGrid(rows=20, cols=20, extent=(0.0, 10.0, 0.0, 10.0))
+        rng = np.random.default_rng(59)
+        for count in (5, 50, 200):
+            x0, z0 = 0.5 * rng.integers(-2, 20, (2, count))
+            x1, z1 = x0 + 0.5 * rng.integers(1, 8, count), z0 + 0.5 * rng.integers(1, 8, count)
+            boxes = [make_box(x=0.5 * (a + b), z=0.5 * (c + d), w=b - a, l=d - c) for a, b, c, d in zip(x0, x1, z0, z1)]
+            self.assert_same(boxes, template)
+            self.assert_same(boxes)
+
+    def test_box_array_builds_no_box(self, monkeypatch):
+        boxes = [make_box(x=1.0, z=20.0), make_box(x=2.0, z=21.0, yaw=math.pi / 2)]
+        arrays = [BoxArray.from_boxes(boxes), BoxArray.from_boxes(boxes + [make_box(z=25.0, yaw=0.4)])]
+        want = [rasterize(array.boxes(), ODD_GRID).cells for array in arrays]
+
+        def no_box(self):
+            raise AssertionError("rasterize built a Box3D")
+
+        monkeypatch.setattr(Box3D, "__post_init__", no_box)
+        for array, cells in zip(arrays, want):  # the exact path, then the supersampled one
+            assert np.array_equal(rasterize(array, ODD_GRID).cells, cells) and cells.any()
 
     def test_rotated_straddling_extent(self):
         rng = np.random.default_rng(41)
