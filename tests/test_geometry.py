@@ -578,7 +578,8 @@ def exact_union_in_cell(rects, cx0, cx1, cz0, cz1) -> Fraction:
 
 # A grid with whole-meter cells, whose lines and rectangle edges are exact
 # floats, and one whose cell sides are not representable.
-ORACLE_GRIDS = [BevGrid(rows=5, cols=7, extent=(-3.0, 4.0, 1.5, 6.5)), BevGrid(rows=6, cols=5, extent=(-3.3, 4.1, 1.7, 6.2))]
+ORACLE_GRIDS = [BevGrid(rows=5, cols=7, extent=(-3.0, 4.0, 1.5, 6.5)),
+                BevGrid(rows=6, cols=5, extent=(-3.3, 4.1, 1.7, 6.2))]
 
 
 @st.composite
@@ -631,8 +632,8 @@ class TestRasterizeExactUnion:
         dw, dd = (x_max - x_min) / grid.cols, (z_max - z_min) / grid.rows
         rects = []
         for b in boxes:
-            x, z, half_x, half_z = map(Fraction, (b.x, b.z, *((b.l, b.w) if b.yaw != 0.0 else (b.w, b.l))))
-            rects.append((x - half_x / 2, x + half_x / 2, z - half_z / 2, z + half_z / 2))
+            x, z, side_x, side_z = map(Fraction, (b.x, b.z, *((b.l, b.w) if b.yaw != 0.0 else (b.w, b.l))))
+            rects.append((x - side_x / 2, x + side_x / 2, z - side_z / 2, z + side_z / 2))
         # a float edge in a cell is within an ulp of the extent's largest
         # magnitude, so a cell value may be off by a few such ulps per box,
         # over the cell side (1,500 examples per grid erred by at most 26 eps)
