@@ -21,9 +21,23 @@ Two simulation modes:
 Randomness is counter-based (Philox).  Trial ``i`` of base seed ``b`` draws
 from counter 0 of the stream keyed by
 ``SeedSequence([b, i, 0x51D]).generate_state(2, np.uint64)``.  The keys of
-all trials of a call are computed at once, and one generator is re-keyed
-before each trial, so results are bitwise identical regardless of trial
-execution order or block size.
+all trials of a call are computed at once on the calling thread (one
+``SeedSequence`` each below 8 trials, where that is cheaper than the
+vectorized pass), and one generator is re-keyed before each trial, so
+results are bitwise identical regardless of trial execution order, block
+size or thread count.
+
+Idealized trials run on every CPU the process may use: a call splits its
+trials into contiguous slices, one per CPU, runs the first on the calling
+thread and each other on a thread of its own, and joins every thread before
+it returns or raises.  Outputs do not depend on the CPU count.  Philox draws
+and NumPy ufuncs on T-long arrays release the GIL, but a short trial holds it
+for most of its time: on 2 CPUs at dim 8, two threads ran trials of
+1,500-2,000 steps at 0.6-1.4x the speed of one, and from 3,000 steps mostly
+at 1.1-1.5x.  Below 3,000 steps, or below 32 trials per thread (16 each were
+no faster than one thread; a thread costs about 0.14 ms to start and join),
+a call runs inline, as :func:`run_trial` does.  Literal trials step in a
+Python loop that holds the GIL, and always run inline.
 
 The empirical gradient variance scales one standard-normal draw per base
 seed by sigma.  A :func:`sweep` makes that draw once for all its rows, so each
@@ -34,9 +48,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +77,9 @@ _TRIAL_STREAM = 0x51D
 _GRAD_STREAM = 0x6EAD
 _ROW_STREAM = 0x5EED
 _BLOCK_BYTES = 4 << 20  # literal mode: all arrays of one block of trials, a few MB
+_HASH_MIN_TRIALS = 8  # shorter ranges key each trial with its own SeedSequence
+_THREAD_MIN_STEPS = 3000  # idealized trials this long release the GIL for most of their time
+_THREAD_MIN_TRIALS = 32  # per thread: two threads of 16 trials were no faster than one thread
 VARIANCE_SAMPLES = 1_000_000  # noise draws behind each empirical gradient variance
 _MASK32 = 0xFFFFFFFF
 
@@ -107,7 +126,11 @@ def _seed_keys(entropy: np.ndarray) -> np.ndarray:
 
 def _trial_keys(base_seed: int, trials: range) -> np.ndarray:
     """Row k is trial ``trials[k]``'s Philox key, ``SeedSequence([base_seed, trials[k], 0x51D])
-    .generate_state(2, np.uint64)``, keyed in pieces split where an index's upper words change."""
+    .generate_state(2, np.uint64)``.  A range of 8 or more is keyed in one vectorized pass, in pieces
+    split where an index's upper words change."""
+    if len(trials) < _HASH_MIN_TRIALS:
+        keys = [np.random.SeedSequence([base_seed, i, _TRIAL_STREAM]).generate_state(2, np.uint64) for i in trials]
+        return np.array(keys, dtype=np.uint64).reshape(-1, 2)
     keys = np.empty((len(trials), 2), dtype=np.uint64)
     head, tail, start = _words(base_seed), _words(_TRIAL_STREAM), trials.start
     edges = [start, *range(((start >> 32) + 1) << 32, trials.stop, 1 << 32), trials.stop] if trials else []
@@ -119,15 +142,51 @@ def _trial_keys(base_seed: int, trials: range) -> np.ndarray:
     return keys
 
 
-def _trial_streams(base_seed: int, trials: range) -> Iterator[np.random.Generator]:
-    """One generator, re-keyed to counter 0 of each trial's stream in turn."""
+def _keyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed to counter 0 of each row's stream in turn."""
     bit_generator = np.random.Philox(0)
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     rng = np.random.Generator(bit_generator)
-    for state["state"]["key"] in _trial_keys(base_seed, trials).tolist():
+    for state["state"]["key"] in keys.tolist():
         bit_generator.state = state
         yield rng
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is Linux-only
+        return os.cpu_count() or 1
+
+
+def _in_threads(fill: Callable[[np.ndarray, np.ndarray], None], w: np.ndarray, keys: np.ndarray, parts: int) -> None:
+    """``fill(rows, row_keys)`` on ``parts`` contiguous slices of the rows of ``w`` and ``keys``:
+    the first on the calling thread, each other on a thread started here.  Every thread is
+    joined before this returns or raises; a worker's exception is then raised here."""
+    edges = [len(w) * k // parts for k in range(parts + 1)]
+    slices = [(w[a:b], keys[a:b]) for a, b in itertools.pairwise(edges)]
+    errors: list[BaseException] = []
+
+    def work(rows: np.ndarray, row_keys: np.ndarray) -> None:
+        try:
+            fill(rows, row_keys)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+
+    threads = []
+    try:
+        for args in slices[1:]:
+            thread = threading.Thread(target=work, args=args)
+            thread.start()
+            threads.append(thread)
+        fill(*slices[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarray:
@@ -228,19 +287,26 @@ class ConvergenceFit:
 
 def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """Final weights (one row per trial) and their squared deviations from
-    the optimum.  Literal trials step a block of trials at a time."""
+    the optimum.  Idealized trials run on up to one thread per CPU; literal
+    trials step a block of trials at a time."""
     t, dim = config.steps, config.dim
     s = config.schedule.steps(t)
     w = np.empty((len(trials), dim))
-    streams = _trial_streams(config.base_seed, trials)
+    keys = _trial_keys(config.base_seed, trials)
     if config.mode == "idealized":
-        eta = np.empty(t)
-        for row, rng in zip(w, streams):
-            rng.standard_normal(out=eta)
-            eta *= config.sigma
-            g = s * gradient_array(config.loss, eta)
-            row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
+
+        def fill(rows: np.ndarray, row_keys: np.ndarray) -> None:
+            eta = np.empty(t)
+            for row, rng in zip(rows, _keyed_streams(row_keys)):
+                rng.standard_normal(out=eta)
+                eta *= config.sigma
+                g = s * gradient_array(config.loss, eta)
+                row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
+
+        parts = min(_cpu_count(), len(trials) // _THREAD_MIN_TRIALS) if t >= _THREAD_MIN_STEPS else 1
+        _in_threads(fill, w, keys, max(parts, 1))
     else:
+        streams = _keyed_streams(keys)
         # a block holds its features step-major, its targets, and one trial's draw
         chunk = max(1, _BLOCK_BYTES // (8 * t * (dim + 1)) - 1)
         h_trial, eta = np.empty((t, dim)), np.empty(t)
@@ -343,6 +409,8 @@ def sweep(
     Every axis value is checked before any work.  Each row runs an ensemble
     on its own seed; its ``var_empirical`` scales one draw shared by all rows,
     so it equals ``empirical_gradient_variance(loss, sigma, template.base_seed)[0]``.
+    Rows whose gradients are exactly those at ``sign(z)`` (l1, and dice while
+    no ``|sigma z|`` passes the length) share one variance pass per loss.
 
     Non-dice losses do not depend on the object length but the length column
     is still recorded so the table stays rectangular.
@@ -354,14 +422,26 @@ def sweep(
     cells = [(name, length, LossKind.parse(name, length, beta)) for name, length in itertools.product(*axes[:2])]
     noises = [NoiseModel(sigma) for sigma in axes[2]]
     z = _variance_noise(template.base_seed)
-    eta = np.empty_like(z)
+    eta = np.abs(z)
+    z_min, z_max = eta.min(), eta.max()
+    sign_only: dict[LossKind, float] = {}  # per loss, the variance of its gradients at sign(z)
     rows: list[SweepRow] = []
     for row_index, ((loss_name, length, loss), noise) in enumerate(itertools.product(cells, noises)):
         seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
         stats = run_ensemble(replace(template, loss=loss, sigma=noise.sigma, base_seed=seed))
-        np.multiply(z, noise.sigma, out=eta)
+        # sigma * z has z's sign while no product rounds to 0, and dice reads only that sign
+        # while every |sigma * z| <= length: such a row's gradients are those at sign(z)
+        at_sign = noise.sigma * z_min > 0 and (
+            loss.kind == "l1" or loss.kind == "dice" and noise.sigma * z_max <= loss.length)
+        if at_sign and loss in sign_only:
+            var = sign_only[loss]
+        else:
+            np.multiply(z, noise.sigma, out=eta)
+            var = _gradient_variance(loss, eta)[0]
+            if at_sign:
+                sign_only[loss] = var
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,
                              var_closed=closed_form_variance(loss, noise),
-                             var_empirical=_gradient_variance(loss, eta)[0],
+                             var_empirical=var,
                              mean_dev=stats.mean_deviation_sq, std_err=stats.std_error))
     return rows

@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -203,8 +204,12 @@ class TestSweep:
 
     def test_var_empirical_is_the_estimator_of_its_row(self):
         template = self._template(loss=LossKind.smooth_l1(0.5), steps=10, trials=2)
-        rows = sweep(**self.SHARED, template=template)
-        assert len(rows) == 24
+        # 1e-310 keeps every sigma * z nonzero; at the edge sigmas only the largest |sigma z| moves across 4
+        z_max = float(np.abs(sgd._variance_noise(template.base_seed)).max())
+        edge = [4.0 / z_max * (1 - 1e-12), 4.0 / z_max * (1 + 1e-12)]
+        assert edge[0] * z_max <= 4.0 < edge[1] * z_max
+        rows = sweep(**{**self.SHARED, "sigmas": [*self.SHARED["sigmas"], 1e-310, *edge]}, template=template)
+        assert len(rows) == 48
         for r in rows:
             loss = LossKind.parse(r.loss, r.length, beta=0.5)
             assert r.var_empirical == empirical_gradient_variance(loss, r.sigma, template.base_seed)[0], r
@@ -237,6 +242,20 @@ class TestSweep:
         assert len(rows) == 24
         assert [len(z) for z in draws] == [10**6]
         assert sum(grad_streams) == 1
+
+    def test_sign_only_rows_share_one_variance_pass_per_loss(self, monkeypatch):
+        passes = []
+        gradient_variance = sgd._gradient_variance
+
+        def counted(loss, eta):
+            passes.append(loss.kind)
+            return gradient_variance(loss, eta)
+
+        monkeypatch.setattr(sgd, "_gradient_variance", counted)
+        # the lemma1 benchmark's sweep: l1 and dice(12) rows read sign(z) at every sigma, l2 rows do not
+        rows = sweep([12.0], [0.25, 0.5, 2.0], ["l1", "l2", "dice"], self._template(dim=8, steps=10, trials=2))
+        assert len(rows) == 9
+        assert sorted(passes) == ["dice", "l1", "l2", "l2", "l2"]
 
     def test_rows_share_the_draw(self):
         # sign(sigma z) = sign(z) for sigma > 0, and dice(l=12) reads sign(z)/12 while every |sigma z| <= 12
@@ -412,8 +431,11 @@ def parent_literal_weights(config, trials, chunk):
 
 class TestKeyedStreams:
     @pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    # ranges shorter than _HASH_MIN_TRIALS take one SeedSequence per trial, longer ones the vectorized hash
     @pytest.mark.parametrize("trials", [range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2),
-                                        range(9, 9)], ids=["from-0", "across-2^32", "across-2^64", "empty"])
+                                        range(9, 9), range(2**32 - 5, 2**32 + 5), range(2**64 - 6, 2**64 + 6)],
+                             ids=["from-0", "across-2^32", "across-2^64", "empty", "across-2^32-hashed",
+                                  "across-2^64-hashed"])
     def test_keys_equal_seed_sequence(self, base_seed, trials):
         keys = sgd._trial_keys(base_seed, trials)
         assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
@@ -446,6 +468,8 @@ class TestKeyedStreams:
 
     @pytest.mark.parametrize("mode", ["idealized", "literal"])
     def test_one_bit_generator_per_simulation(self, mode, monkeypatch):
+        """At most one Philox per worker thread: one in all for literal trials,
+        which never leave the calling thread."""
         built = []
 
         def counted(*args, **kwargs):
@@ -455,11 +479,17 @@ class TestKeyedStreams:
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", counted)
         monkeypatch.setattr(sgd, "_BLOCK_BYTES", 0)  # literal blocks of one trial
+        monkeypatch.setattr(sgd, "_THREAD_MIN_STEPS", 1)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_TRIALS", 2)
         cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=20, trials=6, mode=mode, base_seed=4)
-        run_ensemble(cfg)
-        assert len(built) == 1
-        run_trial(cfg, 3)
-        assert len(built) == 2
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(sgd, "_cpu_count", lambda: workers)
+            del built[:]
+            run_ensemble(cfg)
+            assert len(built) == (min(workers, 3) if mode == "idealized" else 1)
+            del built[:]
+            run_trial(cfg, 3)
+            assert len(built) == 1
 
     def test_negative_seed_or_index_is_rejected_as_numpy_does(self):
         with pytest.raises(ValueError) as numpy_error:
@@ -468,8 +498,10 @@ class TestKeyedStreams:
         cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=10, trials=3)
         for mode in ("idealized", "literal"):
             bad_seed = replace(cfg, mode=mode, base_seed=-1)
+            # both key paths: one SeedSequence per trial, and the vectorized hash from 8 trials
             for call in (lambda: run_ensemble(bad_seed), lambda: run_trial(bad_seed, 0),
-                         lambda: run_trial(replace(cfg, mode=mode), -1), lambda: sgd._trial_keys(0, range(-2, 3))):
+                         lambda: run_trial(replace(cfg, mode=mode), -1), lambda: sgd._trial_keys(0, range(-2, 3)),
+                         lambda: run_ensemble(replace(bad_seed, trials=20)), lambda: sgd._trial_keys(0, range(-2, 30))):
                 with pytest.raises(ValueError) as exc:
                     call()
                 assert str(exc.value) == message
@@ -480,3 +512,80 @@ class TestKeyedStreams:
         literal = replace(cfg, mode="literal")
         expected = parent_literal_weights(literal, range(2**32 + 3, 2**32 + 4), 1)[0]
         assert np.array_equal(run_trial(literal, 2**32 + 3).final_weight, expected)
+
+
+def gradient_threads(monkeypatch):
+    """The threads that compute gradients, one entry per call (the objects,
+    since a finished thread's ident can be reused)."""
+    ids = []
+
+    def recorded(loss, eta):
+        ids.append(threading.current_thread())
+        return gradient_array(loss, eta)
+
+    monkeypatch.setattr(sgd, "gradient_array", recorded)
+    return ids
+
+
+class TestThreadedTrials:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_idealized_bit_identical_across_worker_counts(self, workers, monkeypatch):
+        monkeypatch.setattr(sgd, "_cpu_count", lambda: workers)
+        ids = gradient_threads(monkeypatch)
+        per_thread, min_steps = sgd._THREAD_MIN_TRIALS, sgd._THREAD_MIN_STEPS
+        # trial counts and step counts on both sides of the inline thresholds
+        shapes = [(1, min_steps), (2 * per_thread - 1, min_steps), (2 * per_thread, min_steps),
+                  (3 * per_thread + 5, min_steps), (2 * per_thread, min_steps - 1)]
+        if workers == 8:
+            shapes.append((8 * per_thread, min_steps))
+        for trials, steps in shapes:
+            cfg = SgdConfig(dim=3, sigma=0.6, loss=LossKind.dice(2.0), steps=steps, trials=trials, base_seed=17)
+            expected = np.array([parent_idealized_weight(cfg, i) for i in range(trials)])
+            devs = ((expected - cfg.w_star) ** 2).sum(1)
+            del ids[:]
+            weights, dev_sq = sgd._simulate(cfg, range(trials))
+            assert np.array_equal(weights, expected) and np.array_equal(dev_sq, devs), (trials, steps)
+            parts = min(workers, trials // per_thread) if steps >= min_steps else 1
+            assert len(set(ids)) == max(parts, 1), (trials, steps)
+            stats = run_ensemble(cfg)
+            assert stats.mean_deviation_sq == devs.mean()
+            assert stats.std_error == (devs.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0)
+        assert np.array_equal(run_trial(cfg, 2**32 + 3).final_weight, parent_idealized_weight(cfg, 2**32 + 3))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_small_slices_across_2_to_the_32(self, workers, monkeypatch):
+        monkeypatch.setattr(sgd, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_TRIALS", 1)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_STEPS", 1)
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=40, base_seed=2**33 + 1)
+        for trials in (range(1), range(1, 3), range(5, 14), range(2**32 - 4, 2**32 + 5)):
+            expected = np.array([parent_idealized_weight(cfg, i) for i in trials]).reshape(-1, 2)
+            assert np.array_equal(sgd._simulate(cfg, trials)[0], expected), trials
+        assert np.array_equal(run_trial(cfg, 2**32 + 3).final_weight, parent_idealized_weight(cfg, 2**32 + 3))
+
+    @pytest.mark.parametrize("fails_on", ["worker", "caller"])
+    def test_exception_reaches_caller_and_no_thread_outlives_the_call(self, fails_on, monkeypatch):
+        monkeypatch.setattr(sgd, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_TRIALS", 1)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_STEPS", 1)
+        caller = threading.get_ident()
+        error = RuntimeError("gradient failed")
+
+        def failing(loss, eta):
+            if (threading.get_ident() == caller) == (fails_on == "caller"):
+                raise error
+            return gradient_array(loss, eta)
+
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=30, trials=9)
+        before = threading.active_count()
+        expected = run_ensemble(cfg)
+        assert threading.active_count() == before
+        expected = (expected.mean_deviation_sq, expected.std_error)
+        monkeypatch.setattr(sgd, "gradient_array", failing)
+        with pytest.raises(RuntimeError) as exc:
+            run_ensemble(cfg)
+        assert exc.value is error
+        assert threading.active_count() == before
+        monkeypatch.setattr(sgd, "gradient_array", gradient_array)
+        stats = run_ensemble(cfg)
+        assert (stats.mean_deviation_sq, stats.std_error) == expected
