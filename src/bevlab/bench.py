@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Box3D, BoxArray, RayObject, interval_overlaps, ray_iou
-from .losses import LossKind, sigma_c
+from .losses import LossKind, NoiseModel, sigma_c
 from .metrics import ALL_BIN, FrameSet, evaluate
-from .sgd import SgdConfig, run_trial
+from .sgd import SgdConfig, _rng, _seed, run_trial
 
 __all__ = [
     "SceneConfig",
@@ -43,6 +43,9 @@ _RAY_SPACING = 1000.0  # meters between rays; far beyond any box extent
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """A scene's categories, size, depth range and seed.  :func:`generate_scene`
+    does not read ``sigma``; it stays for callers that pass it."""
+
     categories: tuple[tuple[str, float], ...]  # (name, length)
     objects_per_category: int
     depth_range: tuple[float, float] = (20.0, 80.0)
@@ -52,13 +55,12 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         z_min, z_max = self.depth_range
-        if not (z_max > z_min > 0):
-            raise ValueError("depth_range must satisfy z_max > z_min > 0")
-        if self.objects_per_category < 1:
-            raise ValueError("objects_per_category must be >= 1")
-        for _, length in self.categories:
-            if not length > 0:
-                raise ValueError("object lengths must be > 0")
+        if not (np.inf > z_max > z_min > 0):
+            raise ValueError("depth_range must satisfy z_max > z_min > 0 and be finite")
+        if self.objects_per_category < 1 or self.feature_dim < 1:
+            raise ValueError("objects_per_category and feature_dim must be >= 1")
+        if not all(0 < length < np.inf for _, length in self.categories):
+            raise ValueError("object lengths must be > 0 and finite")
 
 
 @dataclass
@@ -82,7 +84,7 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     """Deterministically draw a scene: w_star from the scaled unit sphere,
     features standard normal rescaled along w_star so depths land uniformly
     in the configured range."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, _SCENE_STREAM])))
+    rng = _rng(config.seed, _SCENE_STREAM)
     dim = config.feature_dim
     z_min, z_max = config.depth_range
     direction = rng.standard_normal(dim)
@@ -181,8 +183,7 @@ def theorem1_experiment(
 ) -> TheoremReport:
     """For each length and seed, train L1 / L2 / dice models on the idealized
     simulator and evaluate their AP3D on a fresh synthetic scene."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be >= 0 and finite")
+    NoiseModel(sigma)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     lengths = list(lengths)
@@ -190,16 +191,12 @@ def theorem1_experiment(
         raise ValueError("lengths must be non-empty")
     rows: list[TheoremRow] = []
     sigma_c_map = {ell: sigma_c(ell).sigma_c for ell in lengths}
-    win_l1: dict[float, int] = {ell: 0 for ell in lengths}
-    win_l2: dict[float, int] = {ell: 0 for ell in lengths}
     dim = sgd_template.dim
     for ell_idx, ell in enumerate(lengths):
         name = f"obj{ell:g}m"
         losses = {"l1": LossKind.l1(), "l2": LossKind.l2(), "dice": LossKind.dice(ell)}
         for seed_idx in range(n_seeds):
-            scene_seed = int(
-                np.random.SeedSequence([sgd_template.base_seed, ell_idx, seed_idx, _SCENE_STREAM]).generate_state(1)[0]
-            )
+            scene_seed = _seed(sgd_template.base_seed, ell_idx, seed_idx, _SCENE_STREAM)
             scene = generate_scene(
                 SceneConfig(
                     categories=((name, ell),),
@@ -210,13 +207,8 @@ def theorem1_experiment(
                     seed=scene_seed,
                 )
             )
-            ap50: dict[str, float] = {}
             for loss_idx, (loss_name, loss) in enumerate(losses.items()):
-                train_seed = int(
-                    np.random.SeedSequence(
-                        [sgd_template.base_seed, ell_idx, seed_idx, loss_idx, _TRAIN_STREAM]
-                    ).generate_state(1)[0]
-                )
+                train_seed = _seed(sgd_template.base_seed, ell_idx, seed_idx, loss_idx, _TRAIN_STREAM)
                 cfg = replace(
                     sgd_template,
                     loss=loss,
@@ -230,38 +222,36 @@ def theorem1_experiment(
                 w_conv = run_trial(cfg, 0).final_weight
                 frame = simulate_predictions(scene, w_conv)
                 report = evaluate([frame], thresholds=(0.5, 0.25), iou_fn=ray_box_iou)
-                a50 = report.curves[(name, 0.5, ALL_BIN)].ap
-                a25 = report.curves[(name, 0.25, ALL_BIN)].ap
-                errs = np.abs(scene.features @ (w_conv - scene.w_star))
                 rows.append(
                     TheoremRow(
                         loss=loss_name,
                         length=ell,
                         sigma=sigma,
                         seed=seed_idx,
-                        ap50=a50,
-                        ap25=a25,
-                        mean_abs_err=float(errs.mean()),
+                        ap50=report.curves[(name, 0.5, ALL_BIN)].ap,
+                        ap25=report.curves[(name, 0.25, ALL_BIN)].ap,
+                        mean_abs_err=float(np.abs(scene.features @ (w_conv - scene.w_star)).mean()),
                     )
                 )
-                ap50[loss_name] = a50
-            if ap50["dice"] > ap50["l1"]:
-                win_l1[ell] += 1
-            if ap50["dice"] > ap50["l2"]:
-                win_l2[ell] += 1
-    mean_ap50: dict[tuple[str, float], float] = {}
-    mean_ap25: dict[tuple[str, float], float] = {}
-    for loss_name in ("l1", "l2", "dice"):
-        for ell in lengths:
-            sel = [r for r in rows if r.loss == loss_name and r.length == ell]
-            mean_ap50[(loss_name, ell)] = float(np.mean([r.ap50 for r in sel]))
-            mean_ap25[(loss_name, ell)] = float(np.mean([r.ap25 for r in sel]))
+
+    def aps(kind: str, loss_name: str, ell: float) -> list[float]:
+        """The ``kind`` AP of each seed of one (loss, length) cell, in seed order."""
+        return [getattr(r, kind) for r in rows if r.loss == loss_name and r.length == ell]
+
+    def mean_ap(kind: str) -> dict[tuple[str, float], float]:
+        return {(name, ell): float(np.mean(aps(kind, name, ell))) for name in ("l1", "l2", "dice") for ell in lengths}
+
+    def dice_win_rate(rival: str) -> dict[float, float]:
+        """Per length, the fraction of seeds where dice's AP50 beats the rival's."""
+        return {ell: sum(d > r for d, r in zip(aps("ap50", "dice", ell), aps("ap50", rival, ell))) / n_seeds
+                for ell in lengths}
+
     return TheoremReport(
         rows=rows,
-        mean_ap50=mean_ap50,
-        mean_ap25=mean_ap25,
-        win_rate_vs_l1={ell: win_l1[ell] / n_seeds for ell in lengths},
-        win_rate_vs_l2={ell: win_l2[ell] / n_seeds for ell in lengths},
+        mean_ap50=mean_ap("ap50"),
+        mean_ap25=mean_ap("ap25"),
+        win_rate_vs_l1=dice_win_rate("l1"),
+        win_rate_vs_l2=dice_win_rate("l2"),
         sigma=sigma,
         sigma_c=sigma_c_map,
         precondition_met={ell: sigma >= sigma_c_map[ell] for ell in lengths},

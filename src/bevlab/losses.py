@@ -5,8 +5,11 @@ are supported:
 
 * ``l1``        : absolute error, gradient ``sign(eta)``, variance 1.
 * ``l2``        : half squared error, gradient ``eta``, variance ``sigma**2``.
-* ``smooth_l1`` : Huber-style transition at ``beta``; no closed-form variance
-                  (empirical only).
+* ``smooth_l1`` : Huber-style transition at ``beta``; variance ``sigma**2 (Erf(a)
+                  - 2 r phi(r)) + beta**2 Erfc(a)`` with ``r = beta/sigma``,
+                  ``a = r/sqrt(2)`` and ``phi`` the standard normal density.
+                  Tests check it; :func:`closed_form_variance` returns None,
+                  so ``variance`` and ``sweep`` output leave its cell empty.
 * ``dice``      : 1D overlap loss for an object of length ``ell``; gradient
                   ``sign(eta)/ell`` inside ``|eta| <= ell`` and 0 outside,
                   variance ``Erf(ell / (sqrt(2) sigma)) / ell**2``.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -131,6 +135,23 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float,
+            done: Callable[[float, float, int], bool]) -> tuple[float, int]:
+    """Double ``hi`` while ``below(hi)``, then halve ``[lo, hi]`` until ``done(lo, hi, steps)``;
+    returns the bracket's midpoint and the number of halvings."""
+    while below(hi):
+        hi *= 2.0
+    steps = 0
+    while not done(lo, hi, steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
 def erf_inv(p: float) -> float:
     """Inverse error function on (-1, 1).
 
@@ -142,16 +163,7 @@ def erf_inv(p: float) -> float:
     if p == 0.0:
         return 0.0
     q = abs(p)
-    lo, hi = 0.0, 1.0
-    while math.erf(hi) < q:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if math.erf(mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x, _ = _bisect(lambda x: math.erf(x) < q, 0.0, 1.0, lambda lo, hi, steps: steps == 60)
     # Newton polish; derivative of erf is 2/sqrt(pi) * exp(-x^2)
     for _ in range(4):
         x -= (math.erf(x) - q) / (_TWO_OVER_SQRT_PI * math.exp(-x * x))
@@ -199,8 +211,8 @@ def gradient_array(kind: LossKind, eta: np.ndarray) -> np.ndarray:
 
 
 def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:
-    """Closed-form gradient variance, or None where only empirical estimates
-    exist (smooth_l1).
+    """Closed-form gradient variance, or None for smooth_l1, whose formula
+    (module docstring) the reports leave out.
 
     The dice formula ``Erf(ell/(sqrt(2) sigma)) / ell**2`` is continued to
     ``sigma = 0`` by its limit ``1/ell**2``; l1's is 1 at every sigma.  The
@@ -238,19 +250,8 @@ def sigma_m(length: float) -> float:
 def _solve_sigma_m(length: float) -> tuple[float, float, int]:
     if not 0 < length < math.inf:
         raise ValueError("length must be > 0 and finite")
-    lo = 1e-6
-    hi = max(1.0, 2.0 / length)
-    while _fixed_point_residual(hi, length) < 0:  # defensive; bound proof says no
-        hi *= 2.0
-    iterations = 0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _fixed_point_residual(mid, length) < 0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    root = 0.5 * (lo + hi)
+    root, iterations = _bisect(lambda s: _fixed_point_residual(s, length) < 0, 1e-6, max(1.0, 2.0 / length),
+                               lambda lo, hi, steps: hi - lo <= 1e-12)
     return root, _fixed_point_residual(root, length), iterations
 
 

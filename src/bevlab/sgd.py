@@ -88,6 +88,10 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key))))
 
 
+def _seed(*key: int) -> int:
+    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
+
+
 def _words(n: int) -> list[int]:
     """The uint32 words, least significant first, that SeedSequence reads from an int."""
     n = operator.index(n)
@@ -240,8 +244,7 @@ class SgdConfig:
             raise ValueError("dim, steps and trials must be >= 1")
         if self.mode not in ("idealized", "literal"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be >= 0 and finite")
+        NoiseModel(self.sigma)
         if self.w_star is None:
             self.w_star = np.zeros(self.dim)
         self.w_star = np.asarray(self.w_star, dtype=np.float64)
@@ -427,7 +430,7 @@ def sweep(
     sign_only: dict[LossKind, float] = {}  # per loss, the variance of its gradients at sign(z)
     rows: list[SweepRow] = []
     for row_index, ((loss_name, length, loss), noise) in enumerate(itertools.product(cells, noises)):
-        seed = int(np.random.SeedSequence([template.base_seed, row_index, _ROW_STREAM]).generate_state(1)[0])
+        seed = _seed(template.base_seed, row_index, _ROW_STREAM)
         stats = run_ensemble(replace(template, loss=loss, sigma=noise.sigma, base_seed=seed))
         # sigma * z has z's sign while no product rounds to 0, and dice reads only that sign
         # while every |sigma * z| <= length: such a row's gradients are those at sign(z)

@@ -81,6 +81,19 @@ class TestGenerateScene:
         with pytest.raises(ValueError):
             small_config(depth_range=(10.0, 5.0))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("categories", (("car", np.inf),), "object lengths must be > 0 and finite"),
+        ("categories", (("car", 4.0), ("truck", np.nan)), "object lengths must be > 0 and finite"),
+        ("depth_range", (20.0, np.inf), "depth_range must satisfy z_max > z_min > 0 and be finite"),
+        ("depth_range", (np.nan, 80.0), "depth_range must satisfy z_max > z_min > 0 and be finite"),
+        ("feature_dim", 0, "objects_per_category and feature_dim must be >= 1"),
+        ("objects_per_category", 0, "objects_per_category and feature_dim must be >= 1"),
+    ])
+    def test_rejected_at_construction(self, field, value, message):
+        # caught here, not later in generate_scene or simulate_predictions
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: value})
+
 
 class TestRayBoxIou:
     def _box(self, x, z, ell, score=None):

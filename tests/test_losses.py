@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevlab import sgd
 from bevlab.losses import (
     LossKind,
     NoiseModel,
+    ThresholdResult,
     closed_form_variance,
     erf,
     erf_inv,
@@ -66,6 +69,77 @@ class TestErfInv:
     def test_domain_error(self, p):
         with pytest.raises(ValueError):
             erf_inv(p)
+
+
+def parent_erf_inv(p: float) -> float:
+    """erf_inv as it was with its own bracketing loop."""
+    if not -1.0 < p < 1.0:
+        raise ValueError(f"erf_inv domain is (-1, 1), got {p}")
+    if p == 0.0:
+        return 0.0
+    q = abs(p)
+    lo, hi = 0.0, 1.0
+    while math.erf(hi) < q:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.erf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        x -= (math.erf(x) - q) / (2.0 / math.sqrt(math.pi) * math.exp(-x * x))
+    return math.copysign(x, p)
+
+
+def parent_sigma_c(length: float) -> ThresholdResult:
+    """sigma_c as it was with its own bracketing loop for sigma_m."""
+
+    def residual(sigma):
+        return sigma * sigma - math.erf(length / (math.sqrt(2.0) * sigma)) / (length * length)
+
+    lo = 1e-6
+    hi = max(1.0, 2.0 / length)
+    while residual(hi) < 0:
+        hi *= 2.0
+    iterations = 0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if residual(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    root = 0.5 * (lo + hi)
+    s_l1 = 0.0 if length * length >= 1.0 else math.sqrt(2.0) / length * parent_erf_inv(length * length)
+    return ThresholdResult(sigma_m=root, sigma_l1=s_l1, sigma_c=max(root, s_l1), length=length,
+                           solver_residual=residual(root), iterations=iterations)
+
+
+def bits(values) -> list:
+    """Floats as their exact hex strings, so -0.0 and 0.0 differ; other values unchanged."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestBisectionMatchesParent:
+    def test_erf_inv_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        near_one = [1.0 - 2.0**-k for k in range(1, 54)]
+        subnormal = [5e-324, 2.0**-1074 * 3, 2.0**-1060, 2.0**-1023, 2.2250738585072e-308]
+        ps = [*near_one, *subnormal, 1e-300, 1e-17, 0.25, 0.5, *rng.uniform(-1.0, 1.0, 6_000).tolist(),
+              *(10.0 ** rng.uniform(-320.0, 0.0, 6_000)).tolist()]
+        ps += [-p for p in ps[: len(near_one) + len(subnormal)]]
+        assert len(ps) >= 12_000
+        assert bits(map(erf_inv, ps)) == bits(map(parent_erf_inv, ps))
+
+    def test_sigma_c_bit_identical(self):
+        rng = np.random.default_rng(2025)
+        lengths = [0.01, 0.3, 0.9, 1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52, 4.0, 12.0, 1000.0,
+                   *(10.0 ** rng.uniform(-2.0, 3.0, 8_000)).tolist()]
+        assert len(lengths) >= 8_000
+        got = [bits(dataclasses.astuple(sigma_c(ell))) for ell in lengths]
+        assert got == [bits(dataclasses.astuple(parent_sigma_c(ell))) for ell in lengths]
 
 
 class TestLossValue:
@@ -132,6 +206,15 @@ class TestLossGradient:
         assert got == gradient_array(kind, np.array(etas)).tolist()
 
 
+def smooth_l1_variance(beta: float, sigma: float) -> float:
+    """Smooth-L1 gradient variance under N(0, sigma^2) noise:
+    sigma^2 (erf(a) - 2 r phi(r)) + beta^2 erfc(a), r = beta/sigma, a = r/sqrt(2)."""
+    r = beta / sigma
+    a = r / math.sqrt(2.0)
+    phi = math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+    return sigma * sigma * (math.erf(a) - 2.0 * r * phi) + beta * beta * math.erfc(a)
+
+
 class TestClosedFormVariance:
     def test_l1_constant(self):
         assert closed_form_variance(LossKind.l1(), NoiseModel(7.3)) == 1.0
@@ -145,6 +228,21 @@ class TestClosedFormVariance:
 
     def test_smooth_l1_absent(self):
         assert closed_form_variance(LossKind.smooth_l1(1.0), NoiseModel(1.0)) is None
+
+    @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (1.0, 0.3), (0.7, 2.0), (0.01, 5.0), (5.0, 0.1), (2.0, 1.5)])
+    def test_smooth_l1_formula_equals_quadrature(self, beta, sigma):
+        # Var = E clip(eta, -beta, beta)^2, the gradient's mean being 0 by symmetry
+        b, s = mpmath.mpf(beta), mpmath.mpf(sigma)
+        density = lambda x: mpmath.npdf(x, 0, s)  # noqa: E731
+        exact = 2 * mpmath.quad(lambda x: min(x, b) ** 2 * density(x), [0, b, mpmath.inf])
+        assert smooth_l1_variance(beta, sigma) == pytest.approx(float(exact), rel=1e-6)
+
+    @pytest.mark.parametrize("beta,sigma", [(0.5, 1.0), (1.0, 0.3), (0.7, 2.0)])
+    def test_smooth_l1_formula_equals_empirical(self, beta, sigma):
+        loss = LossKind.smooth_l1(beta)
+        var, se = sgd.empirical_gradient_variance(loss, sigma, base_seed=13)
+        assert abs(var - smooth_l1_variance(beta, sigma)) <= 4 * se
+        assert closed_form_variance(loss, NoiseModel(sigma)) is None
 
     def test_dice_sigma_zero_limit(self):
         assert closed_form_variance(LossKind.dice(4.0), NoiseModel(0.0)) == pytest.approx(1 / 16)

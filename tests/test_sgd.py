@@ -287,6 +287,28 @@ class TestConfigValidation:
         assert np.array_equal(cfg.w_init, np.ones(3))
 
 
+def literal_l2_expected_deviation(config):
+    """E||w_T - w*||^2 of literal L2 SGD by the exact recursion.  With e = w - w*, a step is
+    e' = e - s (h h^T e + eta h) for h ~ N(0, I) and eta ~ N(0, sigma^2), so
+    E||e'||^2 = E||e||^2 (1 - 2 s + (dim + 2) s^2) + s^2 sigma^2 dim."""
+    e0 = config.w_init - config.w_star
+    mean = float(e0 @ e0)
+    for step in config.schedule.steps(config.steps):
+        mean = mean * (1 - 2 * step + (config.dim + 2) * step * step) + step * step * config.sigma**2 * config.dim
+    return mean
+
+
+class TestLiteralL2Oracle:
+    # step scales stay <= 0.2: at scale 1 the first step multiplies E||e||^2 by dim + 1
+    @pytest.mark.parametrize("dim,sigma,scale,steps", [(8, 0.5, 0.1, 300), (3, 1.0, 0.2, 200)])
+    def test_mean_deviation_follows_the_recursion(self, dim, sigma, scale, steps):
+        w_star = np.linspace(1.0, -0.5, dim)  # w_init is 0, so the initial error is nonzero
+        config = SgdConfig(dim=dim, sigma=sigma, loss=LossKind.l2(), steps=steps, trials=4000, mode="literal",
+                           w_star=w_star, schedule=StepSchedule(scale=scale), base_seed=31)
+        stats = run_ensemble(config)
+        assert abs(stats.mean_deviation_sq - literal_l2_expected_deviation(config)) <= 4 * stats.std_error
+
+
 def _trial_rng(config, trial_index):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([config.base_seed, trial_index, 0x51D])))
 
