@@ -54,9 +54,10 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        z_min, z_max = self.depth_range
-        if not (np.inf > z_max > z_min > 0):
-            raise ValueError("depth_range must satisfy z_max > z_min > 0 and be finite")
+        z_min, z_max = map(float, self.depth_range)  # as Python floats, an overflow is inf and no warning
+        mid = 0.5 * (z_min + z_max)  # the norm of w_star, whose square generate_scene divides by
+        if not (np.inf > z_max > z_min > 0 and np.inf > mid * mid):
+            raise ValueError("depth_range must satisfy z_max > z_min > 0 and be finite, with a finite midpoint squared")
         if self.objects_per_category < 1 or self.feature_dim < 1:
             raise ValueError("objects_per_category and feature_dim must be >= 1")
         if not all(0 < length < np.inf for _, length in self.categories):
@@ -187,8 +188,8 @@ def theorem1_experiment(
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     lengths = list(lengths)
-    if not lengths:
-        raise ValueError("lengths must be non-empty")
+    if not lengths or len(set(lengths)) < len(lengths):  # each length keys its own means and win rates
+        raise ValueError("lengths must be non-empty and distinct")
     rows: list[TheoremRow] = []
     sigma_c_map = {ell: sigma_c(ell).sigma_c for ell in lengths}
     dim = sgd_template.dim

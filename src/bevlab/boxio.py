@@ -6,6 +6,9 @@ One JSON object per line: ``frame`` (string), ``category`` (string),
 malformed lines raise :class:`BoxFormatError` carrying the line number.
 
 A file is read into columns (:class:`BoxLines`) and written from them.
+A read decodes all lines and checks the columns whole on one fast path;
+only if that fails does :func:`_line_fault` check the lines in order, one
+by one, to name the first faulty line.
 """
 
 from __future__ import annotations
@@ -63,28 +66,34 @@ def _codes(labels) -> tuple[list[int], tuple[str, ...]]:
     return list(map({name: k for k, name in enumerate(names)}.__getitem__, labels)), names
 
 
-def _parse(lines: list[str]):
-    """The JSON value of each line up to the first that is not valid JSON,
-    and that line's index and error, or None."""
-    values = []
-    for i, line in enumerate(lines):
-        try:
-            value, end = _DECODE(line)
-        except ValueError:  # JSONDecodeError, or an integer too long to convert
-            end = -1
-        if end != len(line):  # not one whole value: json.loads names the fault
-            try:
-                value = json.loads(line)
-            except ValueError as exc:
-                return values, (i, exc)
-        values.append(value)
-    return values, None
+def _columns(lines: list[str]):
+    """Labels, values and scores of the lines, each decoded once.  Raises,
+    naming no line, on any fault but a broken box rule, which BoxArray finds."""
+    objs = []
+    for line in lines:
+        obj, end = _DECODE(line)
+        if end != len(line):
+            raise ValueError("data after the JSON value")
+        objs.append(obj)
+    labels, numbers = [_LABELS(obj) for obj in objs], [_NUMBERS(obj) for obj in objs]
+    scores = [obj.get("score") for obj in objs]
+    kinds = set(map(type, chain.from_iterable(numbers)))
+    if kinds - {float, int} or set(map(type, scores)) - {float, int, type(None)}:
+        raise TypeError("a box value or score is not a number")
+    # NumPy converts an int as float() does, OverflowError included; None reads as NaN
+    values, score_values = np.array(numbers, dtype=np.float64).reshape(-1, 7), np.array(scores, dtype=np.float64)
+    if np.count_nonzero(np.isnan(score_values)) != scores.count(None):
+        raise ValueError("a score is NaN")
+    return labels, values, score_values
 
 
-def _fault(obj) -> str | None:
-    """The first fault of one parsed line that its columns cannot show, or
-    None.  The score's range is tested here too: columns read a NaN score as
-    none, and a bad score is reported before an int too large for a float."""
+def _line_fault(line: str) -> str | None:
+    """The first fault of one line, or None: the checks of reading the line
+    alone, in order (a bad score before an int too large for a float)."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        return f"invalid JSON: {exc}"
     if not isinstance(obj, dict):
         return "expected a JSON object"
     missing = [key for key in _REQUIRED if key not in obj]
@@ -97,28 +106,11 @@ def _fault(obj) -> str | None:
     if score is not None and (type(score) not in (int, float) or not 0 <= score <= 1):
         return "score must be a number in [0, 1]"
     try:
-        list(map(float, _NUMBERS(obj)))  # an int too large for a float
-    except OverflowError as exc:
+        values = np.array([_NUMBERS(obj)], dtype=np.float64)
+    except OverflowError as exc:  # an int too large for a float
         return str(exc)
-    return None
-
-
-def _screen(objs):
-    """Labels, values and scores of parsed lines; None if some line has a
-    fault that its columns cannot show (see :func:`_fault`)."""
-    try:
-        labels, numbers = [_LABELS(obj) for obj in objs], [_NUMBERS(obj) for obj in objs]
-        scores = [obj.get("score") for obj in objs]
-        kinds = set(map(type, chain.from_iterable(numbers)))
-        if kinds - {float, int} or set(map(type, scores)) - {float, int, type(None)}:
-            return None
-        # NumPy converts an int as float() does, OverflowError included; None reads as NaN
-        values, score_values = np.array(numbers, dtype=np.float64).reshape(-1, 7), np.array(scores, dtype=np.float64)
-    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, an int too large
-        return None
-    if np.count_nonzero(np.isnan(score_values)) != scores.count(None):  # a NaN score
-        return None
-    return labels, values, score_values
+    found = box_fault(values, np.zeros(1))  # the score was checked above
+    return found and found[1]
 
 
 def read_box_lines(path) -> BoxLines:
@@ -126,23 +118,17 @@ def read_box_lines(path) -> BoxLines:
     faulty line is reported, as checking the lines one by one reports it."""
     with open(path) as fh:
         numbered = [(no, line) for no, line in enumerate(map(str.strip, fh.read().split("\n")), start=1) if line]
-    objs, bad_json = _parse([line for _, line in numbered])
-    columns = _screen(objs)
-    end = len(objs) if columns else next(i for i, obj in enumerate(objs) if _fault(obj) is not None)
-    labels, values, scores = columns or _screen(objs[:end])  # the lines before a fault may break a box rule
-    frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
-    codes, names = _codes([str(category) for _, category in labels])
     try:
-        boxes = BoxArray(values, codes, names, scores)
-    except ValueError:  # the first line that breaks a box rule: its own fault first (a bad score), else the rule
-        row, rule = box_fault(values, scores)
-        raise BoxFormatError(path, numbered[row][0], _fault(objs[row]) or rule) from None
-    if end < len(objs):
-        raise BoxFormatError(path, numbered[end][0], _fault(objs[end]))
-    if bad_json is not None:
-        i, exc = bad_json
-        raise BoxFormatError(path, numbered[i][0], f"invalid JSON: {exc}") from exc
-    return BoxLines(frame_codes, frame_names, boxes)
+        labels, values, scores = _columns([line for _, line in numbered])
+        frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
+        codes, names = _codes([str(category) for _, category in labels])
+        return BoxLines(frame_codes, frame_names, BoxArray(values, codes, names, scores))
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError):  # any fault of any line
+        for no, line in numbered:
+            fault = _line_fault(line)
+            if fault is not None:
+                raise BoxFormatError(path, no, fault) from None
+        raise
 
 
 _LINE = '{"frame": %s, "category": %s, "x": %r, "y": %r, "z": %r, "l": %r, "w": %r, "h": %r, "yaw": %r'

@@ -8,6 +8,7 @@ row-major order.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -35,11 +36,12 @@ def read_grid_binary(path) -> BevGrid:
         magic, rows, cols, x0, x1, z0, z1 = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
-        if data.size != rows * cols:
+        stored = os.fstat(fh.fileno()).st_size - _HEADER.size  # checked before reading what the header claims
+        if stored < rows * cols * 4:
             raise ValueError(f"{path}: truncated grid payload")
-        if fh.read(1):
+        if stored > rows * cols * 4:
             raise ValueError(f"{path}: trailing bytes after the grid payload")
+        data = np.frombuffer(fh.read(stored), dtype="<f4")
     return BevGrid(rows, cols, (x0, x1, z0, z1), data.astype(np.float64).reshape(rows, cols))
 
 
@@ -54,11 +56,20 @@ def write_grid_csv(grid: BevGrid, path) -> None:
 def read_grid_csv(path) -> BevGrid:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or first[0] != "# extent" or len(first) != 5:
+        first = next(reader, [])
+        if len(first) != 5 or first[0] != "# extent":
             raise ValueError(f"{path}: missing extent header")
         extent = tuple(float(v) for v in first[1:])
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, but the first row has {len(rows[0])}")
+        if not rows:
+            raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
     cells = np.array(rows, dtype=np.float64)
     return BevGrid(cells.shape[0], cells.shape[1], extent, cells)
 

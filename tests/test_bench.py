@@ -94,6 +94,17 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match=message):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("depth_range", [(1e308, 1.7e308), (1e160, 2e160)])
+    def test_depth_midpoint_squared_must_be_finite(self, depth_range):
+        # generate_scene divides by |w_star|^2, the midpoint squared, which would overflow
+        with pytest.raises(ValueError, match="with a finite midpoint squared"):
+            small_config(depth_range=depth_range)
+
+    def test_huge_depths_with_a_finite_midpoint_squared_build(self):
+        # RuntimeWarnings are errors in this suite, so no step of the scene overflows
+        scene = generate_scene(small_config(depth_range=(1e150, 2e150)))
+        assert np.isfinite(scene.features).all() and (scene.depths >= 1e150).all() and (scene.depths <= 2e150).all()
+
 
 class TestRayBoxIou:
     def _box(self, x, z, ell, score=None):
@@ -218,6 +229,12 @@ class TestTheorem1Experiment:
             theorem1_experiment([4.0], sigma=0.5, sgd_template=self._template(), n_seeds=0)
         with pytest.raises(ValueError, match="lengths must be non-empty"):
             theorem1_experiment([], sigma=0.5, sgd_template=self._template(), n_seeds=1)
+
+    def test_repeated_length_rejected(self):
+        # each length keys its own means and win rates, so a repeat would pool two copies' rows
+        with pytest.raises(ValueError, match="lengths must be non-empty and distinct"):
+            theorem1_experiment([4.0, 12.0, 4.0], sigma=0.5, sgd_template=self._template(), n_seeds=1,
+                                objects_per_category=10)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan])
     def test_non_finite_sigma(self, sigma):

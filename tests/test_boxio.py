@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bevlab import boxio
 from bevlab.boxio import BoxFormatError, BoxLines, read_box_lines, write_box_lines
 from bevlab.geometry import Box3D, BoxArray
 from bevlab.metrics import _within, center_nms, center_nms_rows
@@ -278,6 +279,49 @@ class TestReadBoxLines:
         path = tmp_path / "boxes.jsonl"
         path.write_text("\n".join(lines) + "\n")
         assert outcome(read_box_lines, path) == outcome(legacy_read_box_lines, path) == ("error", f"{path}:{message}")
+
+    def test_deep_nesting_is_invalid_json(self, tmp_path):
+        good = json.dumps({"frame": "f", "category": "car", "x": 0.0, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0,
+                           "h": 1.0, "yaw": 0.0})
+        path = tmp_path / "deep.jsonl"
+        path.write_text(good + "\n" + "[" * 200_000 + "\n")
+        message = outcome(read_box_lines, path)[1]
+        assert message.startswith(f"{path}:2: invalid JSON: maximum recursion depth exceeded")
+
+
+class TestOnePathForValidFiles:
+    """The per-line rule runs only once the fast path has failed, and only
+    up to the first faulty line."""
+
+    @staticmethod
+    def line_fault_calls(path) -> int:
+        calls, line_fault = [], boxio._line_fault
+
+        def counted(line):
+            calls.append(line)
+            return line_fault(line)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(boxio, "_line_fault", counted)
+            try:
+                read_box_lines(path)
+            except BoxFormatError:
+                pass
+        return len(calls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_file(faults=(0, 0)))
+    def test_valid_file_never_calls_it(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self.line_fault_calls(write_lines(tmp, *spec)) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(box_object(ints=True).map(json.dumps), max_size=8), faulty_line(),
+           st.lists(box_object().map(json.dumps) | faulty_line(), max_size=3))
+    def test_first_fault_on_line_k_calls_it_k_times(self, good, fault, rest):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_lines(tmp, [*good, fault, *rest], "\n", True)
+            assert self.line_fault_calls(path) == len(good) + 1
 
 
 class TestWriteBoxLines:

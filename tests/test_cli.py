@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -496,6 +497,21 @@ def range_probe_files(probe_files):
             "missing_grids_csv": str(directory / "missing_grids.csv")}
 
 
+# a grid file seg-iou cannot use: exit 4, naming the file and, in a CSV, the line
+BAD_GRIDS = {
+    # a header claiming (2^32 - 1)^2 cells is rejected before any read of that size
+    "bevg-huge-header": ("huge.bevg", struct.pack("<4sII4d", b"BEVG", 2**32 - 1, 2**32 - 1, 0.0, 1.0, 0.0, 1.0),
+                         "huge.bevg: truncated grid payload"),
+    "bevg-one-cell-short": ("short.bevg", struct.pack("<4sII4d", b"BEVG", 2, 2, 0.0, 1.0, 0.0, 1.0) + bytes(12),
+                            "short.bevg: truncated grid payload"),
+    "csv-ragged-row": ("ragged.csv", b"# extent,0,1,0,1\n0.5,0.5\n0.5\n",
+                       "ragged.csv:3: 1 cells, but the first row has 2"),
+    "csv-bad-cell": ("cell.csv", b"# extent,0,1,0,1\n0.5,0.5\n\n0.5,x\n",
+                     "cell.csv:4: could not convert string to float: 'x'"),
+    "csv-header-only": ("header.csv", b"# extent,0,1,0,1\n", "header.csv:2: no grid rows after the extent header"),
+}
+
+
 def run_probe(command, code, message, probe_files, capsys):
     try:
         got = main(command.format(**probe_files).split())
@@ -566,6 +582,24 @@ class TestBoundary:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == f"rasterized 1 boxes onto 1000x1000 grid -> {out}\n"
         assert not gridio.read_grid(out).cells.any()
+
+    def test_deep_json_nesting_is_input_error(self, probe_files, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 200_000 + "\n")
+        assert main(["eval", "--pred", str(deep), "--gt", probe_files["gt_jsonl"]]) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {deep}:1: invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("name,content,message", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+    def test_bad_grid_is_input_error(self, name, content, message, tmp_path, capsys):
+        grid, pairs = tmp_path / name, tmp_path / "pairs.csv"
+        grid.write_bytes(content)
+        pairs.write_text(f"car,{grid},{grid}\n")
+        assert main(["seg-iou", "--pairs", str(pairs)]) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err == f"error: {pairs}:1: {tmp_path / message}\n"
+
+    def test_repeated_theorem1_length_is_flag_error(self, probe_files, capsys):
+        run_probe("theorem1 --length 4,4 --sigma 0.5 --seeds 2 --objects 100 --steps 200 --deterministic",
+                  EXIT_FLAGS, "lengths must be non-empty and distinct", probe_files, capsys)
 
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one
