@@ -63,13 +63,17 @@ def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
     width = columns.count(",") + 1
     rows = []
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            cells = [v.strip() for v in row]
-            if not any(cells) or cells[0].startswith("#"):
-                continue
-            if len(cells) != width:
-                raise InputParseError(f"{path}:{line_no}: expected {columns}")
-            rows.append((line_no, cells))
+        reader = csv.reader(fh)
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                cells = [v.strip() for v in row]
+                if not any(cells) or cells[0].startswith("#"):
+                    continue
+                if len(cells) != width:
+                    raise InputParseError(f"{path}:{line_no}: expected {columns}")
+                rows.append((line_no, cells))
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise InputParseError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 

@@ -53,21 +53,27 @@ def write_grid_csv(grid: BevGrid, path) -> None:
             writer.writerow(f"{v:.9g}" for v in row)
 
 
+def _floats(cells: list[str], path, line: int) -> list[float]:
+    try:
+        return [float(v) for v in cells]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def read_grid_csv(path) -> BevGrid:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, [])
-        if len(first) != 5 or first[0] != "# extent":
-            raise ValueError(f"{path}: missing extent header")
-        extent = tuple(float(v) for v in first[1:])
-        rows = []
-        for row in filter(None, reader):  # blank lines are skipped
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            if len(row) != len(rows[0]):
-                raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, but the first row has {len(rows[0])}")
+        try:
+            first = next(reader, [])
+            if len(first) != 5 or first[0] != "# extent":
+                raise ValueError(f"{path}: missing extent header")
+            extent, rows = tuple(_floats(first[1:], path, 1)), []
+            for row in filter(None, reader):  # blank lines are skipped
+                rows.append(_floats(row, path, reader.line_num))
+                if len(row) != len(rows[0]):
+                    raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, but the first row has {len(rows[0])}")
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
     cells = np.array(rows, dtype=np.float64)

@@ -325,22 +325,19 @@ def evaluate(
                 else:
                     sel, count = in_cat & (det_bin == b), n_gt[c][b]
                 curves[(name, thr, lab)] = _pr_curve(scores[sel], is_tp[sel], count)
-    map_per_threshold: dict[float, float] = {}
-    for thr in thresholds:
-        aps = [curves[(c, thr, ALL_BIN)].ap for c in categories if curves[(c, thr, ALL_BIN)].n_gt > 0]
-        map_per_threshold[thr] = float(np.mean(aps)) if aps else 0.0
+
+    def mean_ap(thr: float, members: Sequence[str]) -> float | None:
+        """The mean "all"-bin AP of the ``members`` with at least one GT; None if none has one."""
+        aps = [curves[(c, thr, ALL_BIN)].ap for c in members if curves[(c, thr, ALL_BIN)].n_gt > 0]
+        return float(np.mean(aps)) if aps else None
+
+    map_per_threshold = {thr: mean_ap(thr, categories) or 0.0 for thr in thresholds}
     group_ap: dict[tuple[str, float], float] = {}
-    if groups:
-        group_names = sorted(set(groups.values()))
-        for thr in thresholds:
-            for gname in group_names:
-                aps = [
-                    curves[(c, thr, ALL_BIN)].ap
-                    for c in categories
-                    if groups.get(c) == gname and curves[(c, thr, ALL_BIN)].n_gt > 0
-                ]
-                if aps:
-                    group_ap[(gname, thr)] = float(np.mean(aps))
+    for thr in thresholds:
+        for gname in sorted(set(groups.values())) if groups else []:
+            ap = mean_ap(thr, [c for c in categories if groups.get(c) == gname])
+            if ap is not None:
+                group_ap[(gname, thr)] = ap
     return ApReport(
         curves=curves,
         map_per_threshold=map_per_threshold,

@@ -20,24 +20,22 @@ Two simulation modes:
 
 Randomness is counter-based (Philox).  Trial ``i`` of base seed ``b`` draws
 from counter 0 of the stream keyed by
-``SeedSequence([b, i, 0x51D]).generate_state(2, np.uint64)``.  The keys of
-all trials of a call are computed at once on the calling thread (one
-``SeedSequence`` each below 8 trials, where that is cheaper than the
-vectorized pass), and one generator is re-keyed before each trial, so
-results are bitwise identical regardless of trial execution order, block
-size or thread count.
+``SeedSequence([b, i, 0x51D]).generate_state(2, np.uint64)``.  A call keys
+all its trials in one vectorized pass on the calling thread and re-keys one
+generator before each trial, so results are bitwise identical regardless of
+trial execution order, block size or thread count.
 
 Idealized trials run on every CPU the process may use: a call splits its
 trials into contiguous slices, one per CPU, runs the first on the calling
-thread and each other on a thread of its own, and joins every thread before
-it returns or raises.  Outputs do not depend on the CPU count.  Philox draws
-and NumPy ufuncs on T-long arrays release the GIL, but a short trial holds it
-for most of its time: on 2 CPUs at dim 8, two threads ran trials of
-1,500-2,000 steps at 0.6-1.4x the speed of one, and from 3,000 steps mostly
-at 1.1-1.5x.  Below 3,000 steps, or below 32 trials per thread (16 each were
-no faster than one thread; a thread costs about 0.14 ms to start and join),
-a call runs inline, as :func:`run_trial` does.  Literal trials step in a
-Python loop that holds the GIL, and always run inline.
+thread and each other on a thread of a ``ThreadPoolExecutor``, and joins
+every pool thread before it returns or raises.  Outputs do not depend on the
+CPU count.  Philox draws and NumPy ufuncs on T-long arrays release the GIL,
+but a short trial holds it for most of its time: on 2 CPUs at dim 8, two
+threads ran trials of 1,500-2,000 steps at 0.6-1.4x the speed of one, and
+from 3,000 steps mostly at 1.1-1.5x.  Below 3,000 steps, or below 32 trials
+per thread (16 each were no faster than one thread; a thread costs about
+0.14 ms to start and join), a call runs inline, as :func:`run_trial` does.
+Literal trials step in a Python loop that holds the GIL: they run inline.
 
 The empirical gradient variance scales one standard-normal draw per base
 seed by sigma.  A :func:`sweep` makes that draw once for all its rows, so each
@@ -49,10 +47,10 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +75,6 @@ _TRIAL_STREAM = 0x51D
 _GRAD_STREAM = 0x6EAD
 _ROW_STREAM = 0x5EED
 _BLOCK_BYTES = 4 << 20  # literal mode: all arrays of one block of trials, a few MB
-_HASH_MIN_TRIALS = 8  # shorter ranges key each trial with its own SeedSequence
 _THREAD_MIN_STEPS = 3000  # idealized trials this long release the GIL for most of their time
 _THREAD_MIN_TRIALS = 32  # per thread: two threads of 16 trials were no faster than one thread
 VARIANCE_SAMPLES = 1_000_000  # noise draws behind each empirical gradient variance
@@ -130,11 +127,8 @@ def _seed_keys(entropy: np.ndarray) -> np.ndarray:
 
 def _trial_keys(base_seed: int, trials: range) -> np.ndarray:
     """Row k is trial ``trials[k]``'s Philox key, ``SeedSequence([base_seed, trials[k], 0x51D])
-    .generate_state(2, np.uint64)``.  A range of 8 or more is keyed in one vectorized pass, in pieces
-    split where an index's upper words change."""
-    if len(trials) < _HASH_MIN_TRIALS:
-        keys = [np.random.SeedSequence([base_seed, i, _TRIAL_STREAM]).generate_state(2, np.uint64) for i in trials]
-        return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    .generate_state(2, np.uint64)``, computed in one vectorized pass, in pieces split where an
+    index's upper words change."""
     keys = np.empty((len(trials), 2), dtype=np.uint64)
     head, tail, start = _words(base_seed), _words(_TRIAL_STREAM), trials.start
     edges = [start, *range(((start >> 32) + 1) << 32, trials.stop, 1 << 32), trials.stop] if trials else []
@@ -163,34 +157,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # sched_getaffinity is Linux-only
         return os.cpu_count() or 1
-
-
-def _in_threads(fill: Callable[[np.ndarray, np.ndarray], None], w: np.ndarray, keys: np.ndarray, parts: int) -> None:
-    """``fill(rows, row_keys)`` on ``parts`` contiguous slices of the rows of ``w`` and ``keys``:
-    the first on the calling thread, each other on a thread started here.  Every thread is
-    joined before this returns or raises; a worker's exception is then raised here."""
-    edges = [len(w) * k // parts for k in range(parts + 1)]
-    slices = [(w[a:b], keys[a:b]) for a, b in itertools.pairwise(edges)]
-    errors: list[BaseException] = []
-
-    def work(rows: np.ndarray, row_keys: np.ndarray) -> None:
-        try:
-            fill(rows, row_keys)
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            errors.append(exc)
-
-    threads = []
-    try:
-        for args in slices[1:]:
-            thread = threading.Thread(target=work, args=args)
-            thread.start()
-            threads.append(thread)
-        fill(*slices[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarray:
@@ -297,8 +263,11 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
     w = np.empty((len(trials), dim))
     keys = _trial_keys(config.base_seed, trials)
     if config.mode == "idealized":
+        # a pool gives queued work to any thread that is done, so each slice waits until all have a thread
+        handed_out = Future()
 
         def fill(rows: np.ndarray, row_keys: np.ndarray) -> None:
+            handed_out.result()
             eta = np.empty(t)
             for row, rng in zip(rows, _keyed_streams(row_keys)):
                 rng.standard_normal(out=eta)
@@ -306,8 +275,17 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
                 g = s * gradient_array(config.loss, eta)
                 row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
 
-        parts = min(_cpu_count(), len(trials) // _THREAD_MIN_TRIALS) if t >= _THREAD_MIN_STEPS else 1
-        _in_threads(fill, w, keys, max(parts, 1))
+        parts = max(1, min(_cpu_count(), len(trials) // _THREAD_MIN_TRIALS)) if t >= _THREAD_MIN_STEPS else 1
+        slices = list(zip(np.array_split(w, parts), np.array_split(keys, parts)))
+        # leaving the block joins every pool thread; result() raises a worker's exception
+        with ThreadPoolExecutor(max(parts - 1, 1)) as pool:
+            try:
+                futures = [pool.submit(fill, *args) for args in slices[1:]]
+            finally:
+                handed_out.set_result(None)
+            fill(*slices[0])
+            for future in futures:
+                future.result()
     else:
         streams = _keyed_streams(keys)
         # a block holds its features step-major, its targets, and one trial's draw

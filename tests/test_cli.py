@@ -509,6 +509,10 @@ BAD_GRIDS = {
     "csv-bad-cell": ("cell.csv", b"# extent,0,1,0,1\n0.5,0.5\n\n0.5,x\n",
                      "cell.csv:4: could not convert string to float: 'x'"),
     "csv-header-only": ("header.csv", b"# extent,0,1,0,1\n", "header.csv:2: no grid rows after the extent header"),
+    "csv-bad-extent": ("badext.csv", b"# extent,a,1,0,1\n0.5\n", "badext.csv:1: could not convert string to float: 'a'"),
+    # a cell longer than csv.field_size_limit(): csv.Error, reported as a parse error
+    "csv-long-cell": ("long.csv", b"# extent,0,1,0,1\n0.5\n" + b"5" * 200_000 + b"\n",
+                      "long.csv:3: field larger than field limit (131072)"),
 }
 
 
@@ -596,6 +600,15 @@ class TestBoundary:
         pairs.write_text(f"car,{grid},{grid}\n")
         assert main(["seg-iou", "--pairs", str(pairs)]) == EXIT_INPUT_PARSE
         assert capsys.readouterr().err == f"error: {pairs}:1: {tmp_path / message}\n"
+
+    @pytest.mark.parametrize("command", ["seg-iou --pairs {manifest}",
+                                         "eval --pred {pred_jsonl} --gt {gt_jsonl} --groups {manifest}"],
+                             ids=["pairs", "groups"])
+    def test_manifest_field_over_the_csv_limit_is_input_error(self, command, probe_files, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"# a manifest whose second row holds a 200,000-character path\ncar,{'p' * 200_000},g\n")
+        assert main(command.format(manifest=manifest, **probe_files).split()) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err == f"error: {manifest}:2: field larger than field limit (131072)\n"
 
     def test_repeated_theorem1_length_is_flag_error(self, probe_files, capsys):
         run_probe("theorem1 --length 4,4 --sigma 0.5 --seeds 2 --objects 100 --steps 200 --deterministic",

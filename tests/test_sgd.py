@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -453,7 +454,7 @@ def parent_literal_weights(config, trials, chunk):
 
 class TestKeyedStreams:
     @pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
-    # ranges shorter than _HASH_MIN_TRIALS take one SeedSequence per trial, longer ones the vectorized hash
+    # short and long ranges, from 0 and across the 2^32 and 2^64 index words, all keyed in one vectorized pass
     @pytest.mark.parametrize("trials", [range(0, 40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2),
                                         range(9, 9), range(2**32 - 5, 2**32 + 5), range(2**64 - 6, 2**64 + 6)],
                              ids=["from-0", "across-2^32", "across-2^64", "empty", "across-2^32-hashed",
@@ -520,7 +521,7 @@ class TestKeyedStreams:
         cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=10, trials=3)
         for mode in ("idealized", "literal"):
             bad_seed = replace(cfg, mode=mode, base_seed=-1)
-            # both key paths: one SeedSequence per trial, and the vectorized hash from 8 trials
+            # ranges of 1 to 32 trials, each keyed in the one vectorized pass
             for call in (lambda: run_ensemble(bad_seed), lambda: run_trial(bad_seed, 0),
                          lambda: run_trial(replace(cfg, mode=mode), -1), lambda: sgd._trial_keys(0, range(-2, 3)),
                          lambda: run_ensemble(replace(bad_seed, trials=20)), lambda: sgd._trial_keys(0, range(-2, 30))):
@@ -611,3 +612,29 @@ class TestThreadedTrials:
         monkeypatch.setattr(sgd, "gradient_array", gradient_array)
         stats = run_ensemble(cfg)
         assert (stats.mean_deviation_sq, stats.std_error) == expected
+
+    def test_lowest_failing_worker_slice_reaches_caller(self, monkeypatch):
+        """Every worker slice fails, each with its own exception and the later slices
+        sooner: the caller gets the exception of the worker slice with the lowest trial."""
+        monkeypatch.setattr(sgd, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_TRIALS", 1)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_STEPS", 1)
+        cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=30, trials=12)
+        first_trial = {tuple(key): i for i, key in enumerate(sgd._trial_keys(cfg.base_seed, range(12)).tolist())}
+        caller, streams, raised = threading.get_ident(), sgd._keyed_streams, {}
+
+        def failing_workers(keys):
+            if threading.get_ident() == caller:
+                return streams(keys)
+            i = first_trial[tuple(keys[0].tolist())]
+            raised[i] = RuntimeError(f"slice from trial {i}")
+            time.sleep(0.02 * (cfg.trials - i))
+            raise raised[i]
+
+        monkeypatch.setattr(sgd, "_keyed_streams", failing_workers)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            sgd._simulate(cfg, range(cfg.trials))
+        assert sorted(raised) == [3, 6, 9]
+        assert exc.value is raised[3]
+        assert threading.active_count() == before
