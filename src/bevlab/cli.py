@@ -57,15 +57,16 @@ def _str_list(text: str) -> list[str]:
 
 
 def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
-    """(line number, stripped cells) of each row of a CSV manifest whose
-    columns are named by ``columns``, e.g. "category,group"; comment and
-    blank rows are skipped."""
+    """(first physical line, stripped cells) of each row of a CSV manifest whose columns are
+    named by ``columns``, e.g. "category,group"; comment and blank rows are skipped."""
     width = columns.count(",") + 1
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        next_line = 1  # where the next record starts: one past the last line read
         try:
-            for line_no, row in enumerate(reader, start=1):
+            for row in reader:
+                line_no, next_line = next_line, reader.line_num + 1
                 cells = [v.strip() for v in row]
                 if not any(cells) or cells[0].startswith("#"):
                     continue
@@ -73,7 +74,7 @@ def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
                     raise InputParseError(f"{path}:{line_no}: expected {columns}")
                 rows.append((line_no, cells))
         except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise InputParseError(f"{path}:{reader.line_num}: {exc}") from None
+            raise InputParseError(f"{path}:{next_line}: {exc}") from None
     return rows
 
 

@@ -45,8 +45,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], config: dic
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -74,10 +72,10 @@ def svg_line_plot(
         raise ValueError("no y value > 0 to plot on a log scale" if log_y else "no points to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi == x_lo:  # span 1, or to the next float up where adding 1 rounds back (|x| >= 2**53)
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
 
     def px(x: float) -> float:
         return margin + (x - x_lo) / (x_hi - x_lo) * pw

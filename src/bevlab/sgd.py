@@ -37,9 +37,11 @@ per thread (16 each were no faster than one thread; a thread costs about
 0.14 ms to start and join), a call runs inline, as :func:`run_trial` does.
 Literal trials step in a Python loop that holds the GIL: they run inline.
 
-The empirical gradient variance scales one standard-normal draw per base
-seed by sigma.  A :func:`sweep` makes that draw once for all its rows, so each
-row is still exactly its own estimator, but the rows are correlated.
+The empirical gradient variance scales one standard-normal draw per base seed
+by sigma, then takes the gradients and ``np.var``'s reduction in the draw's own
+buffer: a pass holds one array of ``samples`` floats (for dice, two bool masks
+too).  A :func:`sweep` makes the draw once for all its rows and works in a second
+array, so each row is still exactly its own estimator, but the rows correlate.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import operator
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -97,11 +99,19 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+@cache
+def _hash_constants(first: int, rows: int, init: int, mult: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 at k = first .. first + rows, as a read-only column."""
+    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + rows + 1)], np.uint32)[:, None]
+    c.flags.writeable = False
+    return c
+
+
 def _hashmix(value: np.ndarray, first: int, rows: int, init: int = 0x43B0D7E5, mult: int = 0x931E8875) -> np.ndarray:
     """SeedSequence's hashmix at steps ``first .. first + rows - 1`` of its running
-    constant ``init * mult**k`` mod 2**32, one step per row of the result."""
-    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + rows + 1)], np.uint32)
-    value = (value ^ c[:-1, None]) * c[1:, None]
+    constant, one step per row of the result."""
+    c = _hash_constants(first, rows, init, mult)
+    value = (value ^ c[:-1]) * c[1:]
     return value ^ (value >> np.uint32(16))
 
 
@@ -160,8 +170,7 @@ def _cpu_count() -> int:
 
 
 def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarray:
-    """The standard-normal draw behind the empirical gradient variance of
-    ``base_seed``, before it is scaled by sigma."""
+    """The standard-normal draw behind ``base_seed``'s empirical gradient variance, unscaled."""
     return _rng(base_seed, _GRAD_STREAM).standard_normal(samples)
 
 
@@ -237,13 +246,10 @@ class EnsembleStats:
 
     @cached_property
     def empirical_grad_variance(self) -> float:
-        """Gradient variance of 10**6 noise draws on the stream of the
-        ensemble's own base seed, drawn when first read.  :func:`sweep` does
-        not read it: its rows share one draw on the template's seed."""
+        """:func:`empirical_gradient_variance` on the ensemble's own base seed, drawn when
+        first read; :func:`sweep` does not read it, its rows share one draw."""
         c = self.config_echo
-        eta = _variance_noise(c.base_seed)
-        eta *= c.sigma
-        return _gradient_variance(c.loss, eta)[0]
+        return empirical_gradient_variance(c.loss, c.sigma, c.base_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -317,10 +323,26 @@ def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
     return TrialResult(final_weight=w[0], deviation_sq=float(dev_sq[0]), trial_index=trial_index)
 
 
-def _gradient_variance(loss: LossKind, eta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Variance of the loss gradients at the residuals ``eta``, and the gradients."""
-    eps = gradient_array(loss, eta)
-    return float(np.var(eps)), eps
+def _variance(x: np.ndarray) -> float:
+    """``np.var(x)`` by its own operations in ``x``'s buffer, left holding the squared deviations."""
+    x -= np.add.reduce(x) / x.size
+    np.square(x, out=x)
+    return float(np.add.reduce(x) / x.size)
+
+
+def _gradient_variance(loss: LossKind, eta: np.ndarray) -> float:
+    """``float(np.var(gradient_array(loss, eta)))`` in ``eta``'s buffer, left as :func:`_variance` leaves it."""
+    if loss.kind == "dice":
+        inside = eta <= loss.length
+        inside &= eta >= -loss.length  # abs(eta) <= length, False for NaN
+        np.sign(eta, out=eta)
+        eta /= loss.length
+        np.copyto(eta, 0.0, where=~inside)
+    elif loss.kind == "l1":
+        np.sign(eta, out=eta)
+    elif loss.kind == "smooth_l1":
+        np.clip(eta, -loss.beta, loss.beta, out=eta)
+    return _variance(eta)
 
 
 def empirical_gradient_variance(
@@ -336,10 +358,8 @@ def empirical_gradient_variance(
         raise ValueError("samples must be >= 2")
     eta = _variance_noise(base_seed, samples)
     eta *= sigma
-    var, eps = _gradient_variance(loss, eta)
-    sq = (eps - eps.mean()) ** 2
-    se = float(np.std(sq) / np.sqrt(samples))
-    return var, se
+    var = _gradient_variance(loss, eta)  # leaves the squared deviations in eta
+    return var, float(np.sqrt(_variance(eta)) / np.sqrt(samples))  # their np.std over sqrt(samples)
 
 
 def run_ensemble(config: SgdConfig) -> EnsembleStats:
@@ -418,7 +438,7 @@ def sweep(
             var = sign_only[loss]
         else:
             np.multiply(z, noise.sigma, out=eta)
-            var = _gradient_variance(loss, eta)[0]
+            var = _gradient_variance(loss, eta)
             if at_sign:
                 sign_only[loss] = var
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,

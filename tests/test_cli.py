@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bevlab
-from bevlab import boxio, cli, gridio, sgd
+from bevlab import boxio, cli, gridio, reports, sgd
 from bevlab.cli import EXIT_FLAGS, EXIT_INPUT_PARSE, EXIT_OK, EXIT_OUTPUT_IO, main
 from bevlab.geometry import BevGrid, Box3D, rasterize
 
@@ -115,6 +116,23 @@ class TestSweep:
             loss = ["--loss", row["loss"]] + (["--length", row["length"]] if row["loss"] == "dice" else [])
             assert main(["variance", *loss, "--sigma", row["sigma"], "--seed", "17"]) == EXIT_OK
             assert f"empirical={row['var_empirical']} " in capsys.readouterr().out
+
+    def test_svg_of_a_single_huge_sigma(self, tmp_path):
+        # adding 1 to 1e300 rounds back to 1e300, so a flat axis must widen by more
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--lengths", "12", "--sigmas", "1e300", "--losses", "l1,dice", "--trials", "2",
+                "--steps", "5", "--dim", "2", "--format", "csv+svg", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("x", [12.0, -(2.0**53), 2.0**53 + 2, 2.0**53, 1e300, -1e300])
+    def test_flat_axis_widens_by_1_or_to_the_next_float(self, x, tmp_path):
+        svg = tmp_path / "flat.svg"
+        reports.svg_line_plot(svg, {"a": [(x, 0.5)]}, "x", "y")
+        x_hi = x + 1.0 if x + 1.0 != x else math.nextafter(x, math.inf)
+        ticks = [f'text-anchor="middle">{x + i * (x_hi - x) / 4:.3g}</text>' for i in range(5)]
+        assert all(t in svg.read_text() for t in ticks)
+        assert '<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="60.00,380.00"/>' in svg.read_text()
 
 
 class TestSgd:
@@ -609,6 +627,20 @@ class TestBoundary:
         manifest.write_text(f"# a manifest whose second row holds a 200,000-character path\ncar,{'p' * 200_000},g\n")
         assert main(command.format(manifest=manifest, **probe_files).split()) == EXIT_INPUT_PARSE
         assert capsys.readouterr().err == f"error: {manifest}:2: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("command,record,error", [
+        ("seg-iou --pairs {manifest}", 'car,"a\nb",c\ntruck,p,q,r', "4: expected category,pred_path,gt_path"),
+        ("eval --pred {pred_jsonl} --gt {gt_jsonl} --groups {manifest}", 'car,"a\nb"\ntruck,p,q',
+         "4: expected category,group"),
+        ("seg-iou --pairs {manifest}", f'car,"a\n{"p" * 200_000}",c', "2: field larger than field limit (131072)"),
+    ], ids=["pairs", "groups", "csv-error"])
+    def test_manifest_error_names_the_first_line_of_its_record(self, command, record, error, probe_files,
+                                                               tmp_path, capsys):
+        # a quoted field spans lines 2 and 3, so the record after it starts on line 4
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"# c\n{record}\n")
+        assert main(command.format(manifest=manifest, **probe_files).split()) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err == f"error: {manifest}:{error}\n"
 
     def test_repeated_theorem1_length_is_flag_error(self, probe_files, capsys):
         run_probe("theorem1 --length 4,4 --sigma 0.5 --seeds 2 --objects 100 --steps 200 --deterministic",

@@ -1,10 +1,13 @@
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevlab import sgd
 from bevlab.losses import LossKind, NoiseModel, closed_form_variance, gradient_array
@@ -263,6 +266,79 @@ class TestSweep:
         rows = sweep([12.0], [0.25, 0.5, 2.0], ["l1", "dice"], self._template(steps=10, trials=2))
         assert len({r.var_empirical for r in rows if r.loss == "l1"}) == 1
         assert len({r.var_empirical for r in rows if r.loss == "dice"}) == 1
+
+
+
+VARIANCE_LOSSES = [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.5), LossKind.dice(4.0)]
+# 1, 7, 8, 9 straddle NumPy's 8-wide unrolled sum, 127, 128, 129 its 128-element pairwise block
+VARIANCE_SIZES = [1, 7, 8, 9, 127, 128, 129, 10**5 + 3]
+# signed zeros, subnormals, exactly +-length (dice) and +-beta (smooth_l1), infinities and NaN
+SPECIAL_RESIDUALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 4.0, -4.0, 0.5, -0.5, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def residuals(draw, sizes=VARIANCE_SIZES):
+    size = draw(st.sampled_from(sizes))
+    scale = draw(st.sampled_from([0.0, 1e-310, 0.3, 4.0, 40.0]))
+    eta = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(size) * scale
+    for i, value in draw(st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(SPECIAL_RESIDUALS)),
+                                  max_size=6)):
+        eta[i] = value
+    return eta
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestGradientVarianceInPlace:
+    """The in-place kernel against the allocating formulas it replaces, bit for bit (NaN too)."""
+
+    @given(st.sampled_from(VARIANCE_LOSSES), residuals())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_var_of_gradient_array(self, loss, eta):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the mean, as in np.var
+            eps = gradient_array(loss, eta)
+            expected_var, expected_sq = float(np.var(eps)), (eps - eps.mean()) ** 2
+            var = sgd._gradient_variance(loss, eta)
+        assert bits(var) == bits(expected_var)
+        assert np.array_equal(bits(eta), bits(expected_sq))
+
+    @given(st.sampled_from(VARIANCE_LOSSES), st.sampled_from([0.0, 1e-310, 0.3, 5.0, 40.0]),
+           st.integers(0, 2**32 - 1), st.sampled_from(VARIANCE_SIZES[1:]))
+    @settings(max_examples=100, deadline=None)
+    def test_empirical_gradient_variance_equals_the_allocating_formula(self, loss, sigma, seed, samples):
+        eps = gradient_array(loss, sgd._variance_noise(seed, samples) * sigma)
+        sq = (eps - eps.mean()) ** 2
+        expected = float(np.var(eps)), float(np.std(sq) / np.sqrt(samples))
+        assert empirical_gradient_variance(loss, sigma, seed, samples) == expected
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, after one untraced call has done its
+    first-call imports; tracemalloc sees NumPy's data buffers."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVarianceMemory:
+    SAMPLE_BYTES = 8 * sgd.VARIANCE_SAMPLES
+
+    @pytest.mark.parametrize("loss", VARIANCE_LOSSES, ids=lambda loss: loss.kind)
+    def test_a_variance_pass_holds_its_one_draw(self, loss):
+        # dice adds two boolean masks of one byte per sample
+        peak = traced_peak(lambda: empirical_gradient_variance(loss, 0.5, 3, sgd.VARIANCE_SAMPLES))
+        assert peak <= 1.3 * self.SAMPLE_BYTES
+
+    def test_a_sweep_holds_the_draw_and_one_work_buffer(self):
+        template = SgdConfig(dim=8, sigma=0.5, loss=LossKind.l2(), steps=10, trials=2)
+        peak = traced_peak(lambda: sweep([12.0], [0.25, 0.5, 2.0], ["l1", "l2", "dice"], template))
+        assert peak <= 2.3 * self.SAMPLE_BYTES
 
 
 class TestConfigValidation:
