@@ -1,8 +1,9 @@
 """Command-line front-end tying the modules together.
 
 Exit codes: 0 success, 2 flag errors, 3 output I/O failures, 4 input
-failures (a file that cannot be read or parsed).  A JSON document passed via
---config supplies flag defaults, with explicit flags overriding.
+failures (a file that cannot be read or parsed).  Each entry of the JSON object
+named by --config is read as its flag given that text (a list's items joined by
+commas, true/false switching an on/off flag); explicit flags win.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def _write(fn, *args, **kwargs):
 
 
 def _write_report(args, header, rows, comments=()) -> None:
-    """Write the command's CSV report to --out, if one is given."""
+    """Write the command's CSV report to --out, if one is given, its header echoing every flag value."""
     if args.out:
-        _write(reports.write_csv, args.out, header, rows, _run_config(args), args.deterministic, comments)
+        config = {key: value for key, value in vars(args).items() if key not in ("func", "config", "out")}
+        _write(reports.write_csv, args.out, header, rows, config, args.deterministic, comments)
 
 
 def _float_list(text: str) -> list[float]:
@@ -62,32 +64,17 @@ def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
     width = columns.count(",") + 1
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next_line = 1  # where the next record starts: one past the last line read
         try:
-            for row in reader:
-                line_no, next_line = next_line, reader.line_num + 1
+            for line_no, row in gridio.csv_records(csv.reader(fh), path):
                 cells = [v.strip() for v in row]
                 if not any(cells) or cells[0].startswith("#"):
                     continue
                 if len(cells) != width:
                     raise InputParseError(f"{path}:{line_no}: expected {columns}")
                 rows.append((line_no, cells))
-        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise InputParseError(f"{path}:{next_line}: {exc}") from None
+        except ValueError as exc:  # a csv.Error, named by gridio.csv_records
+            raise InputParseError(str(exc)) from None
     return rows
-
-
-def _run_config(args) -> dict:
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config", "out"):
-            continue
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            cfg[key] = value
-        elif isinstance(value, (list, tuple)):
-            cfg[key] = list(value)
-    return cfg
 
 
 def cmd_variance(args) -> int:
@@ -345,7 +332,7 @@ def command_parser(name: str, p: argparse.ArgumentParser | None = None) -> argpa
     func, _, flags = COMMANDS[name]
     p = argparse.ArgumentParser(prog=f"bevlab {name}") if p is None else p
     p.set_defaults(func=func, command=name)
-    p.add_argument("--config", help="JSON file supplying flag defaults")
+    p.add_argument("--config", help="JSON file of flag values")
     p.add_argument("--seed", type=int, default=0, help="base seed for all stochastic work")
     p.add_argument("--deterministic", action="store_true", help="suppress timestamps in output headers")
     p.add_argument("--out", default=None, help="output file path")
@@ -368,43 +355,46 @@ def _error(message: str, code: int) -> int:
     return code
 
 
-def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> int:
-    """Install the JSON object named by ``--config`` in ``argv``, if any, as
-    defaults of ``sub_parser``; a flag it supplies is no longer required.
-    Returns the exit code, EXIT_OK unless the file is unusable."""
+def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> tuple[int, list[str]]:
+    """The JSON object named by ``--config`` in ``argv``, if any, as flag tokens to
+    parse ahead of ``argv``, so that explicit flags win.  Returns the exit code,
+    EXIT_OK unless the file is unusable, and the tokens."""
     pre = argparse.ArgumentParser(prog=sub_parser.prog, add_help=False)
-    for action in sub_parser._actions:  # the same option strings resolve abbreviations alike
-        if action.option_strings:
-            store = "store_true" if action.nargs == 0 else "store"
-            pre.add_argument(*action.option_strings, dest=action.dest, action=store)
+    for action in sub_parser._actions:  # every one a flag: the same option strings resolve abbreviations alike
+        store = "store_true" if action.nargs == 0 else "store"
+        pre.add_argument(*action.option_strings, dest=action.dest, action=store)
     path = pre.parse_known_args(argv)[0].config
     if not path:
-        return EXIT_OK
+        return EXIT_OK, []
     try:
         with open(path) as fh:
-            defaults = json.load(fh)
+            config = json.load(fh)
     except (OSError, ValueError) as exc:
-        return _error(f"cannot read --config: {exc}", EXIT_INPUT_PARSE)
-    if not isinstance(defaults, dict):
-        return _error("--config must hold a JSON object", EXIT_INPUT_PARSE)
-    bad = set(defaults) - {a.dest for a in sub_parser._actions}
+        return _error(f"cannot read --config: {exc}", EXIT_INPUT_PARSE), []
+    if not isinstance(config, dict):
+        return _error("--config must hold a JSON object", EXIT_INPUT_PARSE), []
+    actions = {a.dest: a for a in sub_parser._actions if a.dest not in ("help", "config")}
+    bad = set(config) - set(actions)
     if bad:
-        return _error(f"unknown config keys: {sorted(bad)}", EXIT_FLAGS)
-    sub_parser.set_defaults(**defaults)
-    for action in sub_parser._actions:
-        if action.dest in defaults:
-            action.required = False
-    return EXIT_OK
+        return _error(f"unknown config keys: {sorted(bad)}", EXIT_FLAGS), []
+    tokens = []
+    for key, value in config.items():  # null adds nothing, and false adds nothing to an on/off flag
+        flag, items = actions[key].option_strings[0], value if isinstance(value, list) else [value]
+        if actions[key].nargs == 0 and isinstance(value, bool):
+            tokens += [flag] if value else []
+        elif value is not None:
+            tokens.append(f"{flag}=" + ",".join(v if isinstance(v, str) else json.dumps(v) for v in items))
+    return EXIT_OK, tokens
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:  # only the invoked sub-command's parser is built
         sub_parser = command_parser(argv[0])
-        code = _load_config(sub_parser, argv[1:])
+        code, config = _load_config(sub_parser, argv[1:])
         if code != EXIT_OK:
             return code
-        args, extra = sub_parser.parse_known_args(argv[1:])
+        args, extra = sub_parser.parse_known_args(config + argv[1:])  # a later flag wins
         if extra:  # reported by the whole tree, as when it parses the sub-command
             build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     else:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .geometry import BevGrid
 
-__all__ = ["read_grid", "write_grid", "read_grid_csv", "write_grid_csv", "read_grid_binary", "write_grid_binary"]
+__all__ = ["read_grid", "write_grid", "read_grid_csv", "write_grid_csv", "read_grid_binary", "write_grid_binary",
+           "csv_records"]
 
 _MAGIC = b"BEVG"
 _HEADER = struct.Struct("<4sII4d")
@@ -60,20 +61,29 @@ def _floats(cells: list[str], path, line: int) -> list[float]:
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
+def csv_records(reader, path):
+    """(first physical line, cells) per record; a ``csv.Error`` becomes a ValueError naming ``path`` and the line."""
+    line = reader.line_num + 1
+    try:
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}:{line}: {exc}") from None
+
+
 def read_grid_csv(path) -> BevGrid:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            first = next(reader, [])
-            if len(first) != 5 or first[0] != "# extent":
-                raise ValueError(f"{path}: missing extent header")
-            extent, rows = tuple(_floats(first[1:], path, 1)), []
-            for row in filter(None, reader):  # blank lines are skipped
-                rows.append(_floats(row, path, reader.line_num))
-                if len(row) != len(rows[0]):
-                    raise ValueError(f"{path}:{reader.line_num}: {len(row)} cells, but the first row has {len(rows[0])}")
-        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        records = csv_records(reader, path)
+        first = next(records, (1, []))[1]
+        if len(first) != 5 or first[0] != "# extent":
+            raise ValueError(f"{path}: missing extent header")
+        extent, rows = tuple(_floats(first[1:], path, 1)), []
+        for line, row in (record for record in records if record[1]):  # blank lines are skipped
+            rows.append(_floats(row, path, line))
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{line}: {len(row)} cells, but the first row has {len(rows[0])}")
         if not rows:
             raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
     cells = np.array(rows, dtype=np.float64)

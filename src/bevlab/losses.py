@@ -23,6 +23,7 @@ L1-branch threshold ``sqrt(2)/ell * erf_inv(ell**2)`` (defined only for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,7 +55,7 @@ class LossKind:
 
     ``beta`` is required for ``smooth_l1`` (transition point, meters) and
     ``length`` for ``dice`` (object length, meters); both must be positive
-    and finite.
+    and finite, and the length's square a normal, finite float.
     """
 
     kind: str
@@ -68,8 +69,8 @@ class LossKind:
             if self.beta is None or not 0 < self.beta < math.inf:
                 raise ValueError("smooth_l1 requires a finite beta > 0")
         if self.kind == "dice":
-            if self.length is None or not 0 < self.length < math.inf:
-                raise ValueError("dice requires a finite length > 0")
+            if self.length is None or not (0 < self.length and _normal_square(self.length)):
+                raise ValueError("dice requires a finite length > 0 with a normal, finite square")
 
     @classmethod
     def l1(cls) -> "LossKind":
@@ -130,6 +131,10 @@ class ThresholdResult:
     iterations: int
 
 
+def _normal_square(x: float) -> bool:  # neither 0, subnormal nor inf
+    return sys.float_info.min <= x * x < math.inf
+
+
 def erf(x: float) -> float:
     """Gauss error function (odd, saturating to +/-1)."""
     return math.erf(x)
@@ -137,13 +142,18 @@ def erf(x: float) -> float:
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
             done: Callable[[float, float, int], bool]) -> tuple[float, int]:
-    """Double ``hi`` while ``below(hi)``, then halve ``[lo, hi]`` until ``done(lo, hi, steps)``;
+    """Double ``hi`` while ``below(hi)`` and halve ``lo`` while not ``below(lo)``, then halve
+    ``[lo, hi]`` until ``done(lo, hi, steps)`` or until its midpoint is one of its ends;
     returns the bracket's midpoint and the number of halvings."""
     while below(hi):
         hi *= 2.0
+    while not below(lo):
+        lo *= 0.5
     steps = 0
     while not done(lo, hi, steps):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no halving can narrow the bracket
+            break
         if below(mid):
             lo = mid
         else:
@@ -212,7 +222,8 @@ def gradient_array(kind: LossKind, eta: np.ndarray) -> np.ndarray:
 
 def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:
     """Closed-form gradient variance, or None for smooth_l1, whose formula
-    (module docstring) the reports leave out.
+    (module docstring) the reports leave out.  Raises ValueError for l2 at a
+    sigma whose square overflows.
 
     The dice formula ``Erf(ell/(sqrt(2) sigma)) / ell**2`` is continued to
     ``sigma = 0`` by its limit ``1/ell**2``; l1's is 1 at every sigma.  The
@@ -222,7 +233,9 @@ def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:
     sigma = noise.sigma
     if kind.kind == "l1":
         return 1.0
-    if kind.kind == "l2":
+    if kind.kind == "l2":  # the one variance that squares sigma
+        if not sigma * sigma < math.inf:
+            raise ValueError("l2 requires a sigma whose square is finite")
         return sigma * sigma
     if kind.kind == "smooth_l1":
         return None
@@ -241,17 +254,18 @@ def sigma_m(length: float) -> float:
 
     Unique positive root of ``sigma**2 = Erf(ell/(sqrt(2) sigma)) / ell**2``
     (left side strictly increasing, right side strictly decreasing), found by
-    bisection on the bracket ``[1e-6, max(1, 2/ell)]``.
+    bisection on the bracket ``[1e-6, max(1, 2/ell)]``, widened until it holds
+    the root, to a width of 1e-12, relative to the root below 1e-6.
     """
     root, _, _ = _solve_sigma_m(length)
     return root
 
 
 def _solve_sigma_m(length: float) -> tuple[float, float, int]:
-    if not 0 < length < math.inf:
-        raise ValueError("length must be > 0 and finite")
+    if not (0 < length and _normal_square(length)):
+        raise ValueError("length must be > 0 and finite, with a normal, finite square")
     root, iterations = _bisect(lambda s: _fixed_point_residual(s, length) < 0, 1e-6, max(1.0, 2.0 / length),
-                               lambda lo, hi, steps: hi - lo <= 1e-12)
+                               lambda lo, hi, steps: hi - lo <= 1e-12 * (1.0 if lo >= 1e-6 else lo))
     return root, _fixed_point_residual(root, length), iterations
 
 

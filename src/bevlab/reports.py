@@ -44,9 +44,15 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], config: dic
             writer.writerow([fmt(v) for v in row])
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float, digits: int, prefix: str = "", n: int = 5) -> list[tuple[float, str]]:
+    """Each distinct one of ``n`` evenly spaced values from ``lo`` to ``hi``, labelled
+    ``prefix`` + the value at the fewest significant digits, from ``digits`` on, at
+    which the labels of distinct values differ."""
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    ticks = list(dict.fromkeys(lo + i * step for i in range(n)))  # an axis a float step wide repeats values
+    while digits < 17 and len({f"{t:.{digits}g}" for t in ticks}) < len(ticks):
+        digits += 1
+    return [(t, f"{prefix}{t:.{digits}g}") for t in ticks]
 
 
 def svg_line_plot(
@@ -89,12 +95,11 @@ def svg_line_plot(
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t, label in _ticks(x_lo, x_hi, 3):
         parts.append(
-            f'<text x="{px(t):.1f}" y="{height - margin + 18}" font-size="11" text-anchor="middle">{t:.3g}</text>'
+            f'<text x="{px(t):.1f}" y="{height - margin + 18}" font-size="11" text-anchor="middle">{label}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
-        label = f"1e{t:.2g}" if log_y else f"{t:.3g}"
+    for t, label in _ticks(y_lo, y_hi, 2, "1e") if log_y else _ticks(y_lo, y_hi, 3):
         parts.append(f'<text x="{margin - 8}" y="{py(t) + 4:.1f}" font-size="11" text-anchor="end">{label}</text>')
     parts.append(
         f'<text x="{margin + pw / 2:.1f}" y="{height - 12}" font-size="13" text-anchor="middle">{x_label}</text>'

@@ -219,7 +219,7 @@ class SgdConfig:
             raise ValueError("dim, steps and trials must be >= 1")
         if self.mode not in ("idealized", "literal"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        NoiseModel(self.sigma)
+        closed_form_variance(self.loss, NoiseModel(self.sigma))  # checks sigma, and for l2 its square
         if self.w_star is None:
             self.w_star = np.zeros(self.dim)
         self.w_star = np.asarray(self.w_star, dtype=np.float64)
@@ -422,12 +422,13 @@ def sweep(
     beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
     cells = [(name, length, LossKind.parse(name, length, beta)) for name, length in itertools.product(*axes[:2])]
     noises = [NoiseModel(sigma) for sigma in axes[2]]
+    grid = [(cell, noise, closed_form_variance(cell[2], noise)) for cell, noise in itertools.product(cells, noises)]
     z = _variance_noise(template.base_seed)
     eta = np.abs(z)
     z_min, z_max = eta.min(), eta.max()
     sign_only: dict[LossKind, float] = {}  # per loss, the variance of its gradients at sign(z)
     rows: list[SweepRow] = []
-    for row_index, ((loss_name, length, loss), noise) in enumerate(itertools.product(cells, noises)):
+    for row_index, ((loss_name, length, loss), noise, var_closed) in enumerate(grid):
         seed = _seed(template.base_seed, row_index, _ROW_STREAM)
         stats = run_ensemble(replace(template, loss=loss, sigma=noise.sigma, base_seed=seed))
         # sigma * z has z's sign while no product rounds to 0, and dice reads only that sign
@@ -442,7 +443,7 @@ def sweep(
             if at_sign:
                 sign_only[loss] = var
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,
-                             var_closed=closed_form_variance(loss, noise),
+                             var_closed=var_closed,
                              var_empirical=var,
                              mean_dev=stats.mean_deviation_sq, std_err=stats.std_error))
     return rows

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -79,6 +80,25 @@ class TestThreshold:
         sigma_m = float([l for l in out.splitlines() if l.startswith("sigma_m=")][0].split("=")[1])
         assert sigma_m == pytest.approx(0.0833, abs=0.002)
 
+    @pytest.mark.parametrize("length,printed", [
+        ("0.5", "length=0.5|sigma_m=1.15665514|sigma_l1=0.637278728|sigma_c=1.15665514|"
+                "residual=-1.27364785e-12 iterations=42"),
+        ("1", "length=1|sigma_m=0.866809531|sigma_l1=0|sigma_c=0.866809531|residual=1.00808251e-12 iterations=41"),
+        ("4", "length=4|sigma_m=0.25|sigma_l1=0|sigma_c=0.25|residual=2.06501483e-14 iterations=40"),
+        ("12", "length=12|sigma_m=0.0833333333|sigma_l1=0|sigma_c=0.0833333333|residual=-2.52645127e-14 iterations=40"),
+        ("1e5", "length=100000|sigma_m=9.99999996e-06|sigma_l1=0|sigma_c=9.99999996e-06|"
+                "residual=-8.29431888e-19 iterations=40"),
+    ])
+    def test_output_is_pinned(self, length, printed, capsys):
+        assert main(["threshold", "--length", length]) == EXIT_OK
+        assert capsys.readouterr().out == printed.replace("|", "\n") + "\n"
+
+    @pytest.mark.parametrize("length,sigma_m", [("1e-12", "9274.98795"), ("1e7", "1e-07")])
+    def test_extreme_length_ends(self, length, sigma_m, capsys):
+        # at 1e-12 the solver never ended, and at 1e7 it returned its bracket's end, 1.00000045e-06
+        assert main(["threshold", "--length", length]) == EXIT_OK
+        assert f"sigma_m={sigma_m}" in capsys.readouterr().out.splitlines()
+
 
 class TestSweep:
     def test_stdout_table(self, capsys):
@@ -130,9 +150,34 @@ class TestSweep:
         svg = tmp_path / "flat.svg"
         reports.svg_line_plot(svg, {"a": [(x, 0.5)]}, "x", "y")
         x_hi = x + 1.0 if x + 1.0 != x else math.nextafter(x, math.inf)
-        ticks = [f'text-anchor="middle">{x + i * (x_hi - x) / 4:.3g}</text>' for i in range(5)]
-        assert all(t in svg.read_text() for t in ticks)
+        assert x_tick_labels(svg) == [label for _, label in reports._ticks(x, x_hi, 3)]
         assert '<polyline fill="none" stroke="#d62728" stroke-width="1.5" points="60.00,380.00"/>' in svg.read_text()
+
+    @pytest.mark.parametrize("lo,hi,digits,prefix,labels", [
+        (12.0, 13.0, 3, "", ["12", "12.2", "12.5", "12.8", "13"]),  # distinct at 3 digits: as before
+        (0.5, 0.50001, 3, "", ["0.5", "0.500003", "0.500005", "0.500007", "0.50001"]),
+        (-3.0, -2.99999, 2, "1e", ["1e-3", "1e-2.999998", "1e-2.999995", "1e-2.999992", "1e-2.99999"]),
+        # one float step wide: each value is drawn once
+        (1e300, math.nextafter(1e300, math.inf), 3, "", ["1.0000000000000001e+300", "1.0000000000000002e+300"]),
+        (2.0**53, 2.0**53 + 2, 3, "", ["9007199254740992", "9007199254740994"]),
+    ], ids=["distinct", "narrow", "narrow-log", "float-step", "two-to-the-53"])
+    def test_tick_labels_differ(self, lo, hi, digits, prefix, labels):
+        assert [label for _, label in reports._ticks(lo, hi, digits, prefix)] == labels
+
+    @pytest.mark.parametrize("sigmas,labels", [
+        ("0.5,0.50001", ["0.5", "0.500003", "0.500005", "0.500007", "0.50001"]),
+        ("1e300", ["1.0000000000000001e+300", "1.0000000000000002e+300"]),
+    ], ids=["narrow", "huge"])
+    def test_svg_x_ticks_read_differently(self, sigmas, labels, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--lengths", "12", "--sigmas", sigmas, "--losses", "l1,dice", "--trials", "2",
+                "--steps", "5", "--dim", "2", "--format", "csv+svg", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert x_tick_labels(tmp_path / "s.svg") == labels
+
+
+def x_tick_labels(svg) -> list[str]:
+    return re.findall(r'font-size="11" text-anchor="middle">([^<]*)</text>', Path(svg).read_text())
 
 
 class TestSgd:
@@ -155,6 +200,15 @@ class TestTheorem1:
         assert "dice win rate vs l1=" in stdout
         data_rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(data_rows) == 1 + 3 * 2  # header + 3 losses x 2 seeds
+
+    def test_precondition_not_met_warns(self, tmp_path, capsys):
+        # sigma_c(4) = 0.25; the CSV notes it on every run, stderr only when it is not met
+        out = tmp_path / "thm.csv"
+        argv = ["theorem1", "--length", "4,12", "--sigma", "0.1", "--seeds", "1", "--objects", "20", "--steps", "20",
+                "--deterministic", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == "warning: precondition sigma >= sigma_c not met for length 4\n"
+        assert "# length 4: sigma_c=0.25, precondition sigma >= sigma_c NOT met" in out.read_text().splitlines()
 
 
 class TestEval:
@@ -330,6 +384,49 @@ class TestSegIou:
         assert main(["seg-iou", "--pairs", str(manifest)]) == EXIT_INPUT_PARSE
 
 
+# a config value goes through its flag's type, choices and on/off handling: exit 2 with argparse's message
+CONFIG_PROBES = {
+    "sgd-trials-2.5": ("sgd --loss l2 --sigma 0.5", {"trials": 2.5}, "argument --trials: invalid int value: '2.5'"),
+    "sgd-dim-1e3": ("sgd --loss l2 --sigma 0.5", {"dim": 1e3}, "argument --dim: invalid int value: '1000.0'"),
+    "variance-seed-1.5": ("variance --loss l1 --sigma 1", {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+    "variance-sigma-true": ("variance --loss l1", {"sigma": True}, "argument --sigma: invalid float value: 'true'"),
+    "variance-deterministic-no": ("variance --loss l1 --sigma 1 --samples 10 --out {out}.csv", {"deterministic": "no"},
+                                  "argument --deterministic: ignored explicit argument 'no'"),
+    "sweep-format-png": ("sweep --lengths 12 --sigmas 0.5 --losses l1 --trials 2 --steps 5 --out {out}.csv",
+                         {"format": "png"}, "argument --format: invalid choice: 'png'"),
+    "sweep-log-y-1": ("sweep --lengths 12 --sigmas 0.5 --losses l1 --trials 2 --steps 5", {"log_y": 1},
+                      "argument --log-y: ignored explicit argument '1'"),
+    "eval-bins-pairs": ("eval --pred {pred_jsonl} --gt {gt_jsonl}", {"bins": [[0, 5], [5, 10]]},
+                        "argument --bins: invalid _parse_bins value: '[0, 5],[5, 10]'"),
+}
+
+
+# (command, config, the same values as flags); {out} is where the command writes, if it does
+CONFIG_AS_FLAGS = {
+    # theorem1 with a number for its list flag stopped with a TypeError before
+    "theorem1-length-number": ("theorem1 --sigma 0.5 --seeds 1 --objects 50 --steps 50 --deterministic --out {out}",
+                               {"length": 4}, "--length 4"),
+    "threshold-length": ("threshold", {"length": 4.0}, "--length 4"),
+    "variance-samples-seed": ("variance --loss l1 --sigma 1 --deterministic --out {out}", {"samples": 2000, "seed": 9},
+                              "--samples 2000 --seed 9"),
+    "variance-deterministic-false": ("variance --loss l1 --sigma 1 --samples 10 --out {out}",
+                                     {"deterministic": False, "length": None}, ""),
+    "variance-deterministic-true": ("variance --loss l1 --sigma 1 --samples 10 --out {out}", {"deterministic": True},
+                                    "--deterministic"),
+    "eval-iou-list": ("eval --pred {pred_jsonl} --gt {gt_jsonl} --deterministic --out {out}", {"iou": [0.5, 0.25]},
+                      "--iou 0.5,0.25"),
+    "eval-bins-edges": ("eval --pred {pred_jsonl} --gt {gt_jsonl} --deterministic --out {out}", {"bins": [0, 5, 10]},
+                        "--bins 0,5,10"),
+    "rasterize-extent-list": ("rasterize --input {gt_jsonl} --rows 5 --cols 4 --out {out}.bevg",
+                              {"extent": [-5, 5, 0, 50]}, "--extent=-5,5,0,50"),
+    "sweep-strings-and-switches": ("sweep --lengths 12 --trials 2 --steps 5 --dim 2 --deterministic --out {out}",
+                                   {"sigmas": "0.5,1", "losses": ["l1", "dice"], "format": "csv+svg", "log_y": True},
+                                   "--sigmas 0.5,1 --losses l1,dice --format csv+svg --log-y"),
+    "strings-for-seed-and-mode": ("sgd --loss l2 --sigma 0.5 --trials 2 --steps 5", {"mode": "literal", "seed": "7"},
+                                  "--mode literal --seed 7"),
+}
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -356,6 +453,40 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{oops")
         assert main(["variance", "--loss", "l1", "--sigma", "1", "--config", str(cfg)]) == EXIT_INPUT_PARSE
+
+    def test_json_array_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["threshold", "--length", "4", "--config", str(cfg)]) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err == "error: --config must hold a JSON object\n"
+
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_help_and_config_are_not_config_keys(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        assert main(["threshold", "--length", "4", "--config", str(cfg)]) == EXIT_FLAGS
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+    @pytest.mark.parametrize("command,config,message", CONFIG_PROBES.values(), ids=CONFIG_PROBES.keys())
+    def test_value_gets_its_flags_check(self, command, config, message, probe_files, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        run_probe(f"{command} --config {cfg}", EXIT_FLAGS, message, probe_files, capsys)
+
+    @pytest.mark.parametrize("command,config,flags", CONFIG_AS_FLAGS.values(), ids=CONFIG_AS_FLAGS.keys())
+    def test_entry_reads_as_its_flag(self, command, config, flags, probe_files, tmp_path, capsys):
+        # every output, the CSV header's config echo included, is that of the same values given as flags
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        results = []
+        for name, extra in (("via_config", ["--config", str(cfg)]), ("via_flags", flags.split())):
+            out = tmp_path / f"{name}.csv"
+            assert main(command.format(**{**probe_files, "out": out}).split() + extra) == EXIT_OK
+            written = [(f.name.removeprefix(name), [line for line in f.read_bytes().splitlines()
+                                                    if not line.startswith(b"# generated:")])
+                       for f in sorted(tmp_path.glob(f"{name}.*"))]
+            results.append((capsys.readouterr().out.replace(name, "OUT"), written))
+        assert results[0] == results[1]
 
 
 class TestFlagErrors:
@@ -454,6 +585,22 @@ NON_FINITE_PROBES = {
 }
 
 
+# a length whose square is not a normal, finite float, or an l2 sigma whose square overflows:
+# exit 2 with the library's message
+SQUARE_PROBES = {
+    "threshold-length-1e-300": ("threshold --length 1e-300",
+                                "length must be > 0 and finite, with a normal, finite square"),
+    "theorem1-length-1e-300": ("theorem1 --length 1e-300 --sigma 0.5 --seeds 1 --objects 10 --steps 5",
+                               "length must be > 0 and finite, with a normal, finite square"),
+    "variance-dice-length-1e-320": ("variance --loss dice --length 1e-320 --sigma 1 --samples 10",
+                                    "dice requires a finite length > 0 with a normal, finite square"),
+    "variance-l2-sigma-1e308": ("variance --loss l2 --sigma 1e308 --samples 10",
+                                "l2 requires a sigma whose square is finite"),
+    "sgd-l2-sigma-1e200": ("sgd --loss l2 --sigma 1e200 --trials 2 --steps 5",
+                           "l2 requires a sigma whose square is finite"),
+}
+
+
 # a flag value outside the library's range: exit 2 with its message
 RANGE_PROBES = {
     "nms-radius-inf": ("nms --input {pred_jsonl} --radius inf --out {out}.jsonl", "radius must be > 0 and finite"),
@@ -489,6 +636,8 @@ SWEEP_AXIS_PROBES = {
     "sweep-second-length-inf": ("sweep --lengths 12,inf --sigmas 0.5 --losses dice",
                                 "dice requires a finite length > 0"),
     "sweep-second-loss-unknown": ("sweep --lengths 12 --sigmas 0.5 --losses l1,hinge", "unknown loss kind"),
+    "sweep-last-l2-sigma-square": ("sweep --lengths 12 --sigmas 0.5,1e300 --losses l1,l2",
+                                   "l2 requires a sigma whose square is finite"),
 }
 
 
@@ -520,6 +669,7 @@ BAD_GRIDS = {
     # a header claiming (2^32 - 1)^2 cells is rejected before any read of that size
     "bevg-huge-header": ("huge.bevg", struct.pack("<4sII4d", b"BEVG", 2**32 - 1, 2**32 - 1, 0.0, 1.0, 0.0, 1.0),
                          "huge.bevg: truncated grid payload"),
+    "bevg-truncated-header": ("head.bevg", b"BEVG" + bytes(8), "head.bevg: truncated grid header"),
     "bevg-one-cell-short": ("short.bevg", struct.pack("<4sII4d", b"BEVG", 2, 2, 0.0, 1.0, 0.0, 1.0) + bytes(12),
                             "short.bevg: truncated grid payload"),
     "csv-ragged-row": ("ragged.csv", b"# extent,0,1,0,1\n0.5,0.5\n0.5\n",
@@ -527,6 +677,13 @@ BAD_GRIDS = {
     "csv-bad-cell": ("cell.csv", b"# extent,0,1,0,1\n0.5,0.5\n\n0.5,x\n",
                      "cell.csv:4: could not convert string to float: 'x'"),
     "csv-header-only": ("header.csv", b"# extent,0,1,0,1\n", "header.csv:2: no grid rows after the extent header"),
+    "csv-header-then-blank-lines": ("blank.csv", b"# extent,0,1,0,1\n\n\n",
+                                    "blank.csv:4: no grid rows after the extent header"),
+    "csv-no-extent-header": ("noext.csv", b"0.5,0.5\n", "noext.csv: missing extent header"),
+    "csv-blank-first-line": ("blankfirst.csv", b"\n# extent,0,1,0,1\n0.5\n", "blankfirst.csv: missing extent header"),
+    # a record names the line it starts on
+    "csv-two-line-record": ("quoted.csv", b'# extent,0,1,0,1\n"0.2\nx"\n',
+                            "quoted.csv:2: could not convert string to float: '0.2\\nx'"),
     "csv-bad-extent": ("badext.csv", b"# extent,a,1,0,1\n0.5\n", "badext.csv:1: could not convert string to float: 'a'"),
     # a cell longer than csv.field_size_limit(): csv.Error, reported as a parse error
     "csv-long-cell": ("long.csv", b"# extent,0,1,0,1\n0.5\n" + b"5" * 200_000 + b"\n",
@@ -560,6 +717,10 @@ class TestBoundary:
 
     @pytest.mark.parametrize("command,message", NON_FINITE_PROBES.values(), ids=NON_FINITE_PROBES.keys())
     def test_non_finite_value(self, command, message, probe_files, capsys):
+        run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
+
+    @pytest.mark.parametrize("command,message", SQUARE_PROBES.values(), ids=SQUARE_PROBES.keys())
+    def test_square_out_of_range(self, command, message, probe_files, capsys):
         run_probe(command, EXIT_FLAGS, message, probe_files, capsys)
 
     @pytest.mark.parametrize("command,message", RANGE_PROBES.values(), ids=RANGE_PROBES.keys())

@@ -42,6 +42,11 @@ boxes_strategy = st.builds(
 
 
 class TestRayOverlap:
+    @pytest.mark.parametrize("length", [0.0, -2.0, math.nan])
+    def test_length_must_be_positive(self, length):
+        with pytest.raises(ValueError, match="length must be > 0"):
+            RayObject(10.0, length)
+
     def test_dice_perfect(self):
         assert ray_dice_coefficient(RayObject(10, 2), RayObject(10, 2)) == 1.0
 
@@ -695,6 +700,11 @@ class TestGridIo:
         back = gridio.read_grid(path)
         assert back.extent == grid.extent
         assert np.allclose(back.cells, grid.cells, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+    def test_cells_shape_must_match(self, shape):
+        with pytest.raises(ValueError, match="cells shape mismatch"):
+            BevGrid(rows=2, cols=2, extent=(0.0, 1.0, 0.0, 1.0), cells=np.zeros(shape))
 
     def test_non_finite_cells_rejected(self, tmp_path):
         grid = BevGrid(rows=2, cols=2, extent=(0.0, 1.0, 0.0, 1.0))

@@ -141,6 +141,29 @@ class TestBisectionMatchesParent:
         got = [bits(dataclasses.astuple(sigma_c(ell))) for ell in lengths]
         assert got == [bits(dataclasses.astuple(parent_sigma_c(ell))) for ell in lengths]
 
+    def test_sigma_c_bit_identical_wherever_the_parent_ends(self):
+        # the parent's loop ends while its root lies in [1e-6, ~4300]: lengths from 1e-10 to 10**5.9
+        lengths = (10.0 ** np.random.default_rng(2026).uniform(-10.0, 5.9, 500)).tolist() + [1e5]
+        got = [bits(dataclasses.astuple(sigma_c(ell))) for ell in lengths]
+        assert got == [bits(dataclasses.astuple(parent_sigma_c(ell))) for ell in lengths]
+
+
+class TestSigmaMAtExtremeLengths:
+    """Below ~1e-11 the root lies where floats are more than 1e-12 apart, and above ~1e6
+    below the bracket's 1e-6: the solver ends there too, on the fixed point."""
+
+    @pytest.mark.parametrize("length", [1e-12, 1e-20, 1e7, 1e12, 1.5e-154, 1.3e154])
+    def test_ends_on_the_fixed_point(self, length):
+        root = sigma_m(length)
+        assert math.isclose(root, math.sqrt(math.erf(length / (math.sqrt(2.0) * root))) / length, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("length", [1e-300, 1e-155, 1.4e154, 1e200, 0.0, -1.0])
+    def test_square_not_normal_and_finite_is_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be > 0 and finite, with a normal, finite square"):
+            sigma_m(length)
+        with pytest.raises(ValueError, match="dice requires a finite length > 0 with a normal, finite square"):
+            LossKind.dice(length)
+
 
 class TestLossValue:
     def test_dice_inside(self):
@@ -384,6 +407,13 @@ class TestLossKindValidation:
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+
+    def test_l2_sigma_whose_square_overflows(self):
+        # only l2's variance squares sigma; the others stay defined at any finite sigma
+        assert closed_form_variance(LossKind.l2(), NoiseModel(1e154)) == 1e154 * 1e154
+        with pytest.raises(ValueError, match="l2 requires a sigma whose square is finite"):
+            closed_form_variance(LossKind.l2(), NoiseModel(1e155))
+        assert closed_form_variance(LossKind.l1(), NoiseModel(1e300)) == 1.0
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_values(self, value):

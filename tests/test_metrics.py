@@ -79,6 +79,10 @@ class TestAveragePrecision:
         curve = average_precision([(0.9, False)], 0)
         assert curve.ap == 0.0 and curve.n_gt == 0
 
+    def test_negative_n_gt(self):
+        with pytest.raises(ValueError, match="n_gt must be >= 0"):
+            average_precision([(0.9, True)], -1)
+
     def test_recall_non_decreasing(self):
         curve = average_precision([(0.9, True), (0.8, False), (0.7, True), (0.5, True)], 5)
         recalls = [r for _, _, r in curve.points]
@@ -358,6 +362,13 @@ class TestColumnarCore:
             BoxArray(good, [1], ("car",))
         with pytest.raises(ValueError, match="prediction without score"):
             FrameSet.from_columns("f", BoxArray(good, [0], ("car",)), BoxArray(good, [0], ("car",)))
+
+    @pytest.mark.parametrize("codes,scores", [([0, 0], None), ([], None), ([0], [0.5, 0.5])],
+                             ids=["codes-long", "codes-short", "scores-long"])
+    def test_columns_of_unequal_length(self, codes, scores):
+        good = np.array([[0.0, 0.0, 10.0, 4.0, 2.0, 1.5, 0.0]])
+        with pytest.raises(ValueError, match="box columns must have one entry per box"):
+            BoxArray(good, codes, ("car",), scores)
 
 
 class TestTwinContract:

@@ -627,6 +627,13 @@ def gradient_threads(monkeypatch):
 
 
 class TestThreadedTrials:
+    @pytest.mark.parametrize("cpus,want", [(3, 3), (None, 1)])
+    def test_cpu_count_without_sched_getaffinity(self, cpus, want, monkeypatch):
+        # sched_getaffinity is Linux-only; elsewhere every CPU counts, and at least one
+        monkeypatch.delattr(sgd.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sgd.os, "cpu_count", lambda: cpus)
+        assert sgd._cpu_count() == want
+
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_idealized_bit_identical_across_worker_counts(self, workers, monkeypatch):
         monkeypatch.setattr(sgd, "_cpu_count", lambda: workers)
