@@ -136,14 +136,14 @@ def cmd_sweep(args) -> int:
 def cmd_sgd(args) -> int:
     loss = LossKind.parse(args.loss, args.length, args.beta)
     stats = sgd.run_ensemble(_ensemble_config(args, loss, args.sigma))
+    var = stats.empirical_grad_variance  # drawn before any line is printed: it can raise
     print(f"loss={loss.label()} sigma={reports.fmt(args.sigma)} mode={args.mode}")
     print(f"mean_deviation_sq={reports.fmt(stats.mean_deviation_sq)} std_error={reports.fmt(stats.std_error)}")
-    print(f"empirical_grad_variance={reports.fmt(stats.empirical_grad_variance)}")
+    print(f"empirical_grad_variance={reports.fmt(var)}")
     _write_report(
         args,
         ["loss", "sigma", "mode", "mean_dev", "std_err", "var_empirical"],
-        [[loss.label(), args.sigma, args.mode, stats.mean_deviation_sq, stats.std_error,
-          stats.empirical_grad_variance]],
+        [[loss.label(), args.sigma, args.mode, stats.mean_deviation_sq, stats.std_error, var]],
     )
     return EXIT_OK
 

@@ -47,6 +47,9 @@ _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 _KINDS = ("l1", "l2", "smooth_l1", "dice")
+# values per scratch block of an in-place l1 or dice gradient: NumPy's sign takes a slow loop
+# when it writes over its own input (NumPy 2.4 on a 2-CPU Xeon: 6.0 ms per 10^6 values, 1.6 ms into another buffer)
+_SCRATCH_VALUES = 16_384
 
 
 @dataclass(frozen=True)
@@ -203,21 +206,48 @@ def loss_gradient(kind: LossKind, eta: float) -> float:
     return float(gradient_array(kind, eta))
 
 
-def gradient_array(kind: LossKind, eta: np.ndarray) -> np.ndarray:
+def gradient_array(kind: LossKind, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the loss at each residual.
 
     At the measure-zero kinks: sign-based losses give 0 at eta = 0, and the
     dice gradient keeps its interior value at |eta| = ell.
+
+    ``out=None`` allocates the result.  Otherwise the gradients are written
+    into ``out``, which is returned; ``out`` may be ``eta`` itself.  Every
+    form gives the allocating form's bits for every float (signed zeros,
+    subnormals, infinities and NaN).  Writing l1 or dice gradients over a
+    contiguous ``eta`` goes through one scratch block of 16,384 values (128 KB)
+    at a time.
     """
     eta = np.asarray(eta, dtype=np.float64)
+    if out is not eta or kind.kind not in ("l1", "dice") or not eta.flags.c_contiguous:
+        return _gradient(kind, eta, out)
+    flat = eta.reshape(-1)
+    scratch = np.empty(min(flat.size, _SCRATCH_VALUES))
+    for start in range(0, flat.size, _SCRATCH_VALUES):
+        block = flat[start : start + _SCRATCH_VALUES]
+        block[...] = _gradient(kind, block, scratch[: block.size])
+    return out
+
+
+def _gradient(kind: LossKind, eta: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """:func:`gradient_array` on a float64 ``eta``, for an ``out`` that is None,
+    ``eta`` itself or apart from it."""
     if kind.kind == "l1":
-        return np.sign(eta)
+        return np.sign(eta, out=out)
     if kind.kind == "l2":
-        return eta.copy()
+        if out is None:
+            return eta.copy()
+        if out is not eta:
+            np.copyto(out, eta)
+        return out
     if kind.kind == "smooth_l1":
-        return np.clip(eta, -kind.beta, kind.beta)
-    ell = kind.length
-    return np.where(np.abs(eta) <= ell, np.sign(eta) / ell, 0.0)
+        return np.clip(eta, -kind.beta, kind.beta, out=out)
+    inside = np.abs(eta) <= kind.length  # False for NaN
+    out = np.sign(eta, out=np.empty_like(eta) if out is None else out)
+    out /= kind.length
+    np.copyto(out, 0.0, where=~inside)
+    return out
 
 
 def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:

@@ -35,20 +35,28 @@ threads ran trials of 1,500-2,000 steps at 0.6-1.4x the speed of one, and
 from 3,000 steps mostly at 1.1-1.5x.  Below 3,000 steps, or below 32 trials
 per thread (16 each were no faster than one thread; a thread costs about
 0.14 ms to start and join), a call runs inline, as :func:`run_trial` does.
-Literal trials step in a Python loop that holds the GIL: they run inline.
+Each slice allocates its own two T-long buffers, for the noise and for the
+gradients, which it scales and squares in place; no buffer is shared between
+threads.  Literal trials step in a Python loop that holds the GIL: they run inline.
 
 The empirical gradient variance scales one standard-normal draw per base seed
-by sigma, then takes the gradients and ``np.var``'s reduction in the draw's own
-buffer: a pass holds one array of ``samples`` floats (for dice, two bool masks
-too).  A :func:`sweep` makes the draw once for all its rows and works in a second
-array, so each row is still exactly its own estimator, but the rows correlate.
+by sigma, then takes the gradients (:func:`~bevlab.losses.gradient_array` with
+``out`` set to the draw) and ``np.var``'s reduction in the draw's own buffer: a
+pass holds one array of ``samples`` floats plus a 128 KB scratch block (and,
+for dice, that block's masks).  A :func:`sweep` makes the draw once for all its
+rows and works in a second array, so each row is still exactly its own
+estimator, but the rows correlate.  A variance, an ensemble's mean or a
+standard error that overflows float64 raises ValueError naming sigma: the
+standard errors square squared deviations, about sigma**4 for l2.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
+import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -215,8 +223,8 @@ class SgdConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.steps < 1 or self.trials < 1:
-            raise ValueError("dim, steps and trials must be >= 1")
+        if not all(1 <= n <= sys.maxsize for n in (self.dim, self.steps, self.trials)):
+            raise ValueError(f"dim, steps and trials must be >= 1 and at most {sys.maxsize}")
         if self.mode not in ("idealized", "literal"):
             raise ValueError(f"unknown mode {self.mode!r}")
         closed_form_variance(self.loss, NoiseModel(self.sigma))  # checks sigma, and for l2 its square
@@ -229,6 +237,8 @@ class SgdConfig:
         self.w_init = np.asarray(self.w_init, dtype=np.float64)
         if self.w_star.shape != (self.dim,) or self.w_init.shape != (self.dim,):
             raise ValueError("w_star and w_init must have length dim")
+        if not (np.isfinite(self.w_star).all() and np.isfinite(self.w_init).all()):
+            raise ValueError("w_star and w_init must be finite")
 
 
 @dataclass(frozen=True)
@@ -246,10 +256,11 @@ class EnsembleStats:
 
     @cached_property
     def empirical_grad_variance(self) -> float:
-        """:func:`empirical_gradient_variance` on the ensemble's own base seed, drawn when
-        first read; :func:`sweep` does not read it, its rows share one draw."""
+        """:func:`empirical_gradient_variance` on the ensemble's own base seed, without its
+        standard error, drawn when first read; :func:`sweep` does not read it, its rows share one draw."""
         c = self.config_echo
-        return empirical_gradient_variance(c.loss, c.sigma, c.base_seed)[0]
+        z = _variance_noise(c.base_seed)
+        return _scaled_gradient_variance(c.loss, z, c.sigma, z)
 
 
 @dataclass(frozen=True)
@@ -274,12 +285,17 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
 
         def fill(rows: np.ndarray, row_keys: np.ndarray) -> None:
             handed_out.result()
-            eta = np.empty(t)
-            for row, rng in zip(rows, _keyed_streams(row_keys)):
-                rng.standard_normal(out=eta)
-                eta *= config.sigma
-                g = s * gradient_array(config.loss, eta)
-                row[:] = config.w_init - np.sqrt((g * g).sum()) * rng.standard_normal(dim)
+            eta, g = np.empty(t), np.empty(t)  # this thread's own buffers
+            sigma, loss, w_init = config.sigma, config.loss, config.w_init
+            # at a huge l2 sigma the sum of squares overflows; run_ensemble reports it, naming sigma
+            with np.errstate(over="ignore"):
+                for row, rng in zip(rows, _keyed_streams(row_keys)):
+                    rng.standard_normal(out=eta)
+                    eta *= sigma
+                    g = gradient_array(loss, eta, out=g)
+                    g *= s  # in place, the bits of s * g and then of g * g
+                    g *= g
+                    np.subtract(w_init, math.sqrt(np.add.reduce(g)) * rng.standard_normal(dim), out=row)
 
         parts = max(1, min(_cpu_count(), len(trials) // _THREAD_MIN_TRIALS)) if t >= _THREAD_MIN_STEPS else 1
         slices = list(zip(np.array_split(w, parts), np.array_split(keys, parts)))
@@ -308,10 +324,13 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
                 # target and residual share one reduction, so w = w_star gives 0 exactly
                 target[:, k] = (config.w_star * h_trial).sum(1) - eta
             block[:] = config.w_init
-            for j in range(t):
-                hj = h[j]
-                resid = (block * hj).sum(1) - target[j]
-                block -= (s[j] * gradient_array(config.loss, resid))[:, None] * hj
+            prod = np.empty_like(block)
+            for hj, target_j, s_j in zip(h, target, s):  # in place, the bits of the allocating step
+                resid = np.add.reduce(np.multiply(block, hj, out=prod), axis=1)
+                resid -= target_j
+                g = gradient_array(config.loss, resid)
+                g *= s_j
+                block -= np.multiply(g[:, None], hj, out=prod)
     dev = w - config.w_star
     return w, (dev * dev).sum(1)
 
@@ -332,17 +351,22 @@ def _variance(x: np.ndarray) -> float:
 
 def _gradient_variance(loss: LossKind, eta: np.ndarray) -> float:
     """``float(np.var(gradient_array(loss, eta)))`` in ``eta``'s buffer, left as :func:`_variance` leaves it."""
-    if loss.kind == "dice":
-        inside = eta <= loss.length
-        inside &= eta >= -loss.length  # abs(eta) <= length, False for NaN
-        np.sign(eta, out=eta)
-        eta /= loss.length
-        np.copyto(eta, 0.0, where=~inside)
-    elif loss.kind == "l1":
-        np.sign(eta, out=eta)
-    elif loss.kind == "smooth_l1":
-        np.clip(eta, -loss.beta, loss.beta, out=eta)
-    return _variance(eta)
+    return _variance(gradient_array(loss, eta, out=eta))
+
+
+def _finite(sigma: float, what: str, value: float) -> float:
+    """``value``, a statistic of finite inputs at noise ``sigma``; ValueError naming sigma if it overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {what} overflows float64 at sigma {sigma:g}")
+    return value
+
+
+def _scaled_gradient_variance(loss: LossKind, z: np.ndarray, sigma: float, out: np.ndarray) -> float:
+    """:func:`_gradient_variance` at residuals ``sigma * z``, written into ``out`` (``z`` itself
+    allowed); raises ValueError naming sigma when it overflows."""
+    with np.errstate(over="ignore"):  # l1, dice and smooth-L1 read an overflowed sigma * z rightly
+        np.multiply(z, sigma, out=out)
+        return _finite(sigma, "gradient variance", _gradient_variance(loss, out))
 
 
 def empirical_gradient_variance(
@@ -351,23 +375,30 @@ def empirical_gradient_variance(
     """Monte Carlo gradient variance over ``samples`` noise draws.
 
     Returns ``(variance, standard_error)`` where the standard error is that of
-    the variance estimator itself.
+    the variance estimator itself.  Raises ValueError naming sigma when either
+    overflows: the standard error squares squared deviations, about sigma**4 for l2.
     """
     NoiseModel(sigma)
     if samples < 2:
         raise ValueError("samples must be >= 2")
     eta = _variance_noise(base_seed, samples)
-    eta *= sigma
-    var = _gradient_variance(loss, eta)  # leaves the squared deviations in eta
-    return var, float(np.sqrt(_variance(eta)) / np.sqrt(samples))  # their np.std over sqrt(samples)
+    var = _scaled_gradient_variance(loss, eta, sigma, eta)  # leaves the squared deviations in eta
+    with np.errstate(over="ignore"):
+        se = float(np.sqrt(_variance(eta)) / np.sqrt(samples))  # their np.std over sqrt(samples)
+    return var, _finite(sigma, "standard error of the gradient variance", se)
 
 
 def run_ensemble(config: SgdConfig) -> EnsembleStats:
     """Average deviation over independent trials (reduced in trial order).
-    The gradient-variance draw is made only when its field is read."""
-    _, devs = _simulate(config, range(config.trials))
-    se = float(devs.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
-    return EnsembleStats(mean_deviation_sq=float(devs.mean()), std_error=se, config_echo=config)
+    The gradient-variance draw is made only when its field is read.  Raises
+    ValueError naming sigma when the mean or standard error overflows: the
+    standard error squares squared deviations, about sigma**4 for l2."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed trial gives inf - inf in the std
+        _, devs = _simulate(config, range(config.trials))
+        mean = float(devs.mean())
+        se = float(devs.std(ddof=1) / np.sqrt(config.trials)) if config.trials > 1 else 0.0
+    return EnsembleStats(mean_deviation_sq=_finite(config.sigma, "ensemble's mean squared deviation", mean),
+                         std_error=_finite(config.sigma, "ensemble's standard error", se), config_echo=config)
 
 
 def fit_lemma1(points: Sequence[tuple[float, float]]) -> ConvergenceFit:
@@ -407,8 +438,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Cartesian sweep over (loss, length, sigma); deterministic in base_seed.
 
-    Every axis value is checked before any work.  Each row runs an ensemble
-    on its own seed; its ``var_empirical`` scales one draw shared by all rows,
+    Every axis value is checked before any work; a length must be finite for
+    every loss.  Each row runs an ensemble on its own seed; its
+    ``var_empirical`` scales one draw shared by all rows,
     so it equals ``empirical_gradient_variance(loss, sigma, template.base_seed)[0]``.
     Rows whose gradients are exactly those at ``sign(z)`` (l1, and dice while
     no ``|sigma z|`` passes the length) share one variance pass per loss.
@@ -421,6 +453,8 @@ def sweep(
         raise ValueError("sweep axes must be non-empty")
     beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
     cells = [(name, length, LossKind.parse(name, length, beta)) for name, length in itertools.product(*axes[:2])]
+    if not all(map(math.isfinite, axes[1])):  # dice checks its lengths; the other losses only echo them
+        raise ValueError("sweep lengths must be finite")
     noises = [NoiseModel(sigma) for sigma in axes[2]]
     grid = [(cell, noise, closed_form_variance(cell[2], noise)) for cell, noise in itertools.product(cells, noises)]
     z = _variance_noise(template.base_seed)
@@ -438,8 +472,7 @@ def sweep(
         if at_sign and loss in sign_only:
             var = sign_only[loss]
         else:
-            np.multiply(z, noise.sigma, out=eta)
-            var = _gradient_variance(loss, eta)
+            var = _scaled_gradient_variance(loss, z, noise.sigma, eta)
             if at_sign:
                 sign_only[loss] = var
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bevlab
 from bevlab import boxio, cli, gridio, reports, sgd
@@ -558,6 +562,9 @@ BOUNDARY_PROBES = [
     ("eval --pred {pred_jsonl} --gt {inf_yaw_jsonl}", EXIT_INPUT_PARSE,
      "inf_yaw.jsonl:1: box values must be finite"),
     ("eval --pred {pred_jsonl} --gt {long_int_jsonl}", EXIT_INPUT_PARSE, "long_int.jsonl:1: invalid JSON"),
+    # a trial count past an index's range is a flag error, not an OverflowError from len(range(...))
+    ("sgd --loss l1 --sigma 1 --trials 18446744073709551617 --steps 5", EXIT_FLAGS,
+     "dim, steps and trials must be >= 1 and at most"),
 ]
 
 
@@ -598,6 +605,18 @@ SQUARE_PROBES = {
                                 "l2 requires a sigma whose square is finite"),
     "sgd-l2-sigma-1e200": ("sgd --loss l2 --sigma 1e200 --trials 2 --steps 5",
                            "l2 requires a sigma whose square is finite"),
+    # an l2 sigma with a finite square whose Monte Carlo statistics overflow: their standard
+    # errors square squared deviations, about sigma**4, so exit 2 naming sigma, not inf or nan
+    "variance-l2-sigma-1e100": ("variance --loss l2 --sigma 1e100 --samples 1000",
+                                "the standard error of the gradient variance overflows float64 at sigma 1e+100"),
+    "variance-l2-sigma-1e154": ("variance --loss l2 --sigma 1e154 --samples 1000",
+                                "the gradient variance overflows float64 at sigma 1e+154"),
+    "sgd-l2-sigma-1e150": ("sgd --loss l2 --sigma 1e150 --trials 2 --steps 5",
+                           "the ensemble's standard error overflows float64 at sigma 1e+150"),
+    "sgd-l2-sigma-1e154-one-trial": ("sgd --loss l2 --sigma 1e154 --trials 1 --steps 5",
+                                     "the gradient variance overflows float64 at sigma 1e+154"),
+    "sweep-l2-sigma-1e100": ("sweep --lengths 12 --sigmas 0.5,1e100 --losses l1,l2 --trials 2 --steps 5 --dim 2",
+                             "the ensemble's standard error overflows float64 at sigma 1e+100"),
 }
 
 
@@ -635,6 +654,7 @@ SWEEP_AXIS_PROBES = {
                                   "sigma must be >= 0 and finite"),
     "sweep-second-length-inf": ("sweep --lengths 12,inf --sigmas 0.5 --losses dice",
                                 "dice requires a finite length > 0"),
+    "sweep-l1-length-nan": ("sweep --lengths 12,nan --sigmas 0.5 --losses l1", "sweep lengths must be finite"),
     "sweep-second-loss-unknown": ("sweep --lengths 12 --sigmas 0.5 --losses l1,hinge", "unknown loss kind"),
     "sweep-last-l2-sigma-square": ("sweep --lengths 12 --sigmas 0.5,1e300 --losses l1,l2",
                                    "l2 requires a sigma whose square is finite"),
@@ -810,6 +830,58 @@ class TestBoundary:
     def test_unreadable_input_is_input_error(self, probe_files, capsys):
         # a directory where a box file should be: an input OSError, not an output one
         run_probe("eval --pred {dir} --gt {gt_jsonl}", EXIT_INPUT_PARSE, "Is a directory", probe_files, capsys)
+
+
+# fuzzed flag values: tiny, huge and non-finite floats, and ints past 2**64 beside small valid ones
+FUZZ_FLOATS = st.one_of(st.sampled_from([0.0, 1e-320, 0.5, 4.0]), st.floats(1e76, 1e154),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+FUZZ_LOSSES = st.sampled_from(["l1", "l2", "smooth_l1", "dice"])
+
+
+def flag(name, values) -> str:
+    values = values if isinstance(values, list) else [values]
+    return f"--{name}=" + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """One command line; at most one of its int flags lies past 2**64, so most runs get to work."""
+    command = draw(st.sampled_from(["variance", "sgd", "sweep", "threshold"]))
+    if command == "threshold":
+        return [command, flag("length", draw(FUZZ_FLOATS))]
+    ints = {"samples": draw(st.integers(2, 4))} if command == "variance" else {
+        "trials": draw(st.integers(1, 4)), "steps": draw(st.integers(1, 4)), "dim": draw(st.integers(1, 3))}
+    ints["seed"] = draw(st.integers(0, 3))
+    huge = draw(st.sampled_from([None, None, *ints]))
+    if huge is not None:
+        ints[huge] = draw(st.integers(2**64, 2**65))
+    argv = [command] + [flag(name, value) for name, value in ints.items()]
+    if command != "variance":
+        argv.append(flag("mode", draw(st.sampled_from(["idealized", "literal"]))))
+    if command == "sweep":
+        return argv + [flag(name, draw(st.lists(values, min_size=1, max_size=2))) for name, values in
+                       (("lengths", FUZZ_FLOATS), ("sigmas", FUZZ_FLOATS), ("losses", FUZZ_LOSSES))]
+    return argv + [flag("loss", draw(FUZZ_LOSSES)),
+                   *(flag(name, draw(FUZZ_FLOATS)) for name in ("sigma", "length", "beta"))]
+
+
+class TestFuzz:
+    @given(fuzzed_argv())
+    @example(["variance", "--loss=l2", "--sigma=1e100", "--samples=1000"])
+    @example(["sgd", "--loss=l2", "--sigma=1e150", "--trials=2", "--steps=5"])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_documented_exit_and_finite_output(self, argv):
+        """Every run exits 0, 2, 3 or 4 with no exception escaping, and a run that exits 0
+        prints no inf or nan: no finite flag value asks for one."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's error path
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_FLAGS, EXIT_OUTPUT_IO, EXIT_INPUT_PARSE), argv
+        if code == EXIT_OK:
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue()), (argv, out.getvalue())
 
 
 COMMAND_NAMES = ["variance", "threshold", "sweep", "sgd", "theorem1", "eval", "nms", "rasterize", "seg-iou"]

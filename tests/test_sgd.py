@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bevlab import sgd
+from bevlab import losses, sgd
 from bevlab.losses import LossKind, NoiseModel, closed_form_variance, gradient_array
 from bevlab.sgd import (
     SgdConfig,
@@ -270,8 +272,10 @@ class TestSweep:
 
 
 VARIANCE_LOSSES = [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.5), LossKind.dice(4.0)]
-# 1, 7, 8, 9 straddle NumPy's 8-wide unrolled sum, 127, 128, 129 its 128-element pairwise block
-VARIANCE_SIZES = [1, 7, 8, 9, 127, 128, 129, 10**5 + 3]
+# 1, 7, 8, 9 straddle NumPy's 8-wide unrolled sum, 127, 128, 129 its 128-element pairwise block,
+# and the last four the scratch block of an in-place l1 or dice gradient
+SCRATCH = losses._SCRATCH_VALUES
+VARIANCE_SIZES = [1, 7, 8, 9, 127, 128, 129, 10**5 + 3, SCRATCH - 1, SCRATCH, SCRATCH + 1, 2 * SCRATCH + 3]
 # signed zeros, subnormals, exactly +-length (dice) and +-beta (smooth_l1), infinities and NaN
 SPECIAL_RESIDUALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 4.0, -4.0, 0.5, -0.5, math.inf, -math.inf, math.nan]
 
@@ -291,6 +295,18 @@ def bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
+def allocating_gradient_array(kind, eta):
+    """``gradient_array`` as it was before it took ``out``: the reference for all its forms."""
+    eta = np.asarray(eta, dtype=np.float64)
+    if kind.kind == "l1":
+        return np.sign(eta)
+    if kind.kind == "l2":
+        return eta.copy()
+    if kind.kind == "smooth_l1":
+        return np.clip(eta, -kind.beta, kind.beta)
+    return np.where(np.abs(eta) <= kind.length, np.sign(eta) / kind.length, 0.0)
+
+
 class TestGradientVarianceInPlace:
     """The in-place kernel against the allocating formulas it replaces, bit for bit (NaN too)."""
 
@@ -303,6 +319,21 @@ class TestGradientVarianceInPlace:
             var = sgd._gradient_variance(loss, eta)
         assert bits(var) == bits(expected_var)
         assert np.array_equal(bits(eta), bits(expected_sq))
+
+    @given(st.sampled_from(VARIANCE_LOSSES), residuals())
+    @settings(max_examples=200, deadline=None)
+    def test_gradient_array_into_none_a_fresh_array_or_eta(self, loss, eta):
+        expected = bits(allocating_gradient_array(loss, eta))
+        assert np.array_equal(bits(gradient_array(loss, eta)), expected)
+        fresh = np.full_like(eta, np.nan)
+        assert gradient_array(loss, eta, out=fresh) is fresh
+        assert np.array_equal(bits(fresh), expected)
+        own = eta.copy()
+        assert gradient_array(loss, own, out=own) is own
+        assert np.array_equal(bits(own), expected)
+        strided = np.repeat(eta, 2)[::2]  # a non-contiguous eta, written over without the scratch block
+        assert gradient_array(loss, strided, out=strided) is strided
+        assert np.array_equal(bits(strided), expected)
 
     @given(st.sampled_from(VARIANCE_LOSSES), st.sampled_from([0.0, 1e-310, 0.3, 5.0, 40.0]),
            st.integers(0, 2**32 - 1), st.sampled_from(VARIANCE_SIZES[1:]))
@@ -350,6 +381,11 @@ class TestConfigValidation:
     def test_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
             SgdConfig(dim=3, sigma=sigma, loss=LossKind.l1(), steps=10)
+
+    @pytest.mark.parametrize("field", ["w_star", "w_init"])
+    def test_non_finite_weights(self, field):
+        with pytest.raises(ValueError, match="w_star and w_init must be finite"):
+            SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=5, **{field: [0.0, math.nan]})
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -618,9 +654,9 @@ def gradient_threads(monkeypatch):
     since a finished thread's ident can be reused)."""
     ids = []
 
-    def recorded(loss, eta):
+    def recorded(loss, eta, out=None):
         ids.append(threading.current_thread())
-        return gradient_array(loss, eta)
+        return gradient_array(loss, eta, out=out)
 
     monkeypatch.setattr(sgd, "gradient_array", recorded)
     return ids
@@ -644,19 +680,39 @@ class TestThreadedTrials:
                   (3 * per_thread + 5, min_steps), (2 * per_thread, min_steps - 1)]
         if workers == 8:
             shapes.append((8 * per_thread, min_steps))
-        for trials, steps in shapes:
-            cfg = SgdConfig(dim=3, sigma=0.6, loss=LossKind.dice(2.0), steps=steps, trials=trials, base_seed=17)
+        kinds = [LossKind.l1(), LossKind.l2(), LossKind.smooth_l1(0.5), LossKind.dice(2.0)]
+        for (trials, steps), loss, sigma in itertools.product(shapes, kinds, [0.6, 0.0, 1e-320]):
+            cfg = SgdConfig(dim=3, sigma=sigma, loss=loss, steps=steps, trials=trials, base_seed=17)
             expected = np.array([parent_idealized_weight(cfg, i) for i in range(trials)])
             devs = ((expected - cfg.w_star) ** 2).sum(1)
             del ids[:]
             weights, dev_sq = sgd._simulate(cfg, range(trials))
-            assert np.array_equal(weights, expected) and np.array_equal(dev_sq, devs), (trials, steps)
+            assert np.array_equal(weights, expected) and np.array_equal(dev_sq, devs), (trials, steps, loss, sigma)
             parts = min(workers, trials // per_thread) if steps >= min_steps else 1
-            assert len(set(ids)) == max(parts, 1), (trials, steps)
+            assert len(set(ids)) == max(parts, 1), (trials, steps, loss, sigma)
             stats = run_ensemble(cfg)
             assert stats.mean_deviation_sq == devs.mean()
             assert stats.std_error == (devs.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0)
         assert np.array_equal(run_trial(cfg, 2**32 + 3).final_weight, parent_idealized_weight(cfg, 2**32 + 3))
+
+    def test_threaded_ensemble_repeats_its_bits(self, monkeypatch):
+        """Eight slices on two or fewer CPUs, switching threads every microsecond: a buffer
+        that one slice shared with another would change some trial's bits in some run."""
+        monkeypatch.setattr(sgd, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_TRIALS", 1)
+        monkeypatch.setattr(sgd, "_THREAD_MIN_STEPS", 1)
+        ids = gradient_threads(monkeypatch)
+        cfg = SgdConfig(dim=3, sigma=0.6, loss=LossKind.dice(2.0), steps=2000, trials=24, base_seed=5)
+        expected = np.array([parent_idealized_weight(cfg, i) for i in range(cfg.trials)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(20):
+                del ids[:]
+                assert np.array_equal(sgd._simulate(cfg, range(cfg.trials))[0], expected), run
+                assert len(set(ids)) == 8, run
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_small_slices_across_2_to_the_32(self, workers, monkeypatch):
@@ -677,10 +733,10 @@ class TestThreadedTrials:
         caller = threading.get_ident()
         error = RuntimeError("gradient failed")
 
-        def failing(loss, eta):
+        def failing(loss, eta, out=None):
             if (threading.get_ident() == caller) == (fails_on == "caller"):
                 raise error
-            return gradient_array(loss, eta)
+            return gradient_array(loss, eta, out=out)
 
         cfg = SgdConfig(dim=2, sigma=0.5, loss=LossKind.l1(), steps=30, trials=9)
         before = threading.active_count()
