@@ -183,7 +183,8 @@ def theorem1_experiment(
     depth_range: tuple[float, float] = (20.0, 80.0),
 ) -> TheoremReport:
     """For each length and seed, train L1 / L2 / dice models on the idealized
-    simulator and evaluate their AP3D on a fresh synthetic scene."""
+    simulator and evaluate their AP3D on a fresh synthetic scene.  Raises
+    ValueError naming sigma when a trained weight overflows float64."""
     NoiseModel(sigma)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -221,6 +222,8 @@ def theorem1_experiment(
                     base_seed=train_seed,
                 )
                 w_conv = run_trial(cfg, 0).final_weight
+                if not np.isfinite(w_conv).all():  # an l2 step's sum of squared gradients passed float64
+                    raise ValueError(f"the {loss_name}-trained weight overflows float64 at sigma {sigma:g}")
                 frame = simulate_predictions(scene, w_conv)
                 report = evaluate([frame], thresholds=(0.5, 0.25), iou_fn=ray_box_iou)
                 rows.append(

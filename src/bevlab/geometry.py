@@ -537,11 +537,13 @@ def rasterize(boxes, template: BevGrid) -> BevGrid:
 def grid_dice(pred: BevGrid, gt: BevGrid) -> float:
     """Soft dice coefficient 2.sum(p*g) / (sum(p) + sum(g)) in [0, 1].
 
-    Two empty grids are a perfect match (coefficient 1).
+    Two empty grids are a perfect match (coefficient 1).  The product sum is
+    NumPy's own ``einsum`` loop, not BLAS, so its bits do not depend on the
+    BLAS thread count, and it needs no grid-sized temporary.
     """
     if pred.cells.shape != gt.cells.shape or pred.extent != gt.extent:
         raise ValueError("grid dimension/extent mismatch")
     denom = float(pred.cells.sum() + gt.cells.sum())
     if denom == 0.0:
         return 1.0
-    return float(2.0 * np.vdot(pred.cells, gt.cells) / denom)
+    return float(2.0 * np.einsum("ij,ij->", pred.cells, gt.cells) / denom)

@@ -3,6 +3,16 @@
 Binary layout, little-endian: magic ``BEVG``, u32 rows, u32 cols, four f64
 extent values (x_min, x_max, z_min, z_max), then rows*cols f32 cells in
 row-major order.
+
+A grid read from either format starts as a zero-filled float64 array, and
+only the runs of rows that hold a nonzero bit are copied in, bit for bit as
+``astype(np.float64)`` (``-0.0`` is such a bit).  Memory that ``np.zeros``
+takes fresh from the operating system is mapped only where it is written, so
+a read grid takes memory only for the pages that hold nonzero cells: 0.1-0.25
+MB for a 500 x 500 grid of one car, against 2 MB dense.  Reading the other
+pages (``BevGrid``'s range check, ``grid_dice``, ``seg_miou``) maps the
+operating system's shared zero page.  ``bevlab seg-iou`` holds every grid of its
+manifest until it computes, so its memory grows with their nonzero pages.
 """
 
 from __future__ import annotations
@@ -21,6 +31,20 @@ __all__ = ["read_grid", "write_grid", "read_grid_csv", "write_grid_csv", "read_g
 
 _MAGIC = b"BEVG"
 _HEADER = struct.Struct("<4sII4d")
+
+
+def _cells(data: np.ndarray) -> np.ndarray:
+    """The float64 cells of a C-ordered 2-D payload: zeros, then each run of rows with a nonzero bit.
+
+    Copying runs of rows costs about the same at every density.  A copy masked
+    per cell was as fast on sparse grids, but took 19x as long as ``astype`` on
+    a 500 x 500 grid with a 50% random mask (Intel Xeon, NumPy 2.4)."""
+    cells = np.zeros(data.shape)
+    live = np.concatenate(([False], np.bitwise_or.reduce(data.view(f"u{data.itemsize}"), axis=1) != 0, [False]))
+    edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
+    for start, stop in zip(edges[::2], edges[1::2]):
+        cells[start:stop] = data[start:stop]
+    return cells
 
 
 def write_grid_binary(grid: BevGrid, path) -> None:
@@ -43,7 +67,7 @@ def read_grid_binary(path) -> BevGrid:
         if stored > rows * cols * 4:
             raise ValueError(f"{path}: trailing bytes after the grid payload")
         data = np.frombuffer(fh.read(stored), dtype="<f4")
-    return BevGrid(rows, cols, (x0, x1, z0, z1), data.astype(np.float64).reshape(rows, cols))
+    return BevGrid(rows, cols, (x0, x1, z0, z1), _cells(data.reshape(rows, cols)))
 
 
 def write_grid_csv(grid: BevGrid, path) -> None:
@@ -86,7 +110,7 @@ def read_grid_csv(path) -> BevGrid:
                 raise ValueError(f"{path}:{line}: {len(row)} cells, but the first row has {len(rows[0])}")
         if not rows:
             raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
-    cells = np.array(rows, dtype=np.float64)
+    cells = _cells(np.array(rows, dtype=np.float64))
     return BevGrid(cells.shape[0], cells.shape[1], extent, cells)
 
 

@@ -242,6 +242,13 @@ class TestTheorem1Experiment:
         with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
             theorem1_experiment([4.0], sigma=sigma, sgd_template=self._template(), n_seeds=1)
 
+    def test_overflowed_l2_weight_names_sigma(self):
+        # sigma's square is finite, but an l2 step's sum of squared gradients is not: the
+        # error names sigma, and no box check or matmul warning sees the infinite weight
+        with pytest.raises(ValueError, match=r"^the l2-trained weight overflows float64 at sigma 1e\+154$"):
+            theorem1_experiment([4.0], sigma=1e154, sgd_template=self._template(steps=50), n_seeds=1,
+                                objects_per_category=20)
+
     def test_rows_pinned(self, monkeypatch):
         # rows of the idealized trainer's streams; scoring each trained
         # weight's frame in frames of 25 rays of Box3D lists gives the same AP

@@ -617,6 +617,9 @@ SQUARE_PROBES = {
                                      "the gradient variance overflows float64 at sigma 1e+154"),
     "sweep-l2-sigma-1e100": ("sweep --lengths 12 --sigmas 0.5,1e100 --losses l1,l2 --trials 2 --steps 5 --dim 2",
                              "the ensemble's standard error overflows float64 at sigma 1e+100"),
+    # an l2-trained weight that overflowed, not the box check of the predictions built from it
+    "theorem1-l2-sigma-1e154": ("theorem1 --length 4 --sigma 1e154 --seeds 1 --objects 20 --steps 50",
+                                "the l2-trained weight overflows float64 at sigma 1e+154"),
 }
 
 

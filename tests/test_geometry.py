@@ -1,14 +1,19 @@
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bevlab
 from bevlab.geometry import (
     BevGrid,
     Box3D,
@@ -668,6 +673,23 @@ class TestGridDice:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             grid_dice(grid_1d(10), grid_1d(20))
+
+    def test_bits_independent_of_blas_threads(self):
+        # a BLAS dot product splits its sum across threads; the coefficient must not
+        code = ("import numpy as np; from bevlab.geometry import BevGrid, grid_dice; "
+                "rng = np.random.default_rng(0); "
+                "p, g = (BevGrid(500, 500, (-50.0, 50.0, 0.0, 100.0), rng.uniform(0, 1, (500, 500))) for _ in 'pg'); "
+                "print(grid_dice(p, g).hex())")
+        src = Path(bevlab.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        bits = []
+        for threads in ("1", "2"):
+            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, **blas, "PYTHONPATH": path})
+            assert done.returncode == 0, done.stderr
+            bits.append(done.stdout.strip())
+        assert bits[0] == bits[1]
 
     def test_matches_closed_form_along_offsets(self):
         ell = 2.0
