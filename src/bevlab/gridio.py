@@ -38,8 +38,12 @@ def _cells(data: np.ndarray) -> np.ndarray:
 
     Copying runs of rows costs about the same at every density.  A copy masked
     per cell was as fast on sparse grids, but took 19x as long as ``astype`` on
-    a 500 x 500 grid with a 50% random mask (Intel Xeon, NumPy 2.4)."""
+    a 500 x 500 grid with a 50% random mask (Intel Xeon, NumPy 2.4).  A boolean
+    row index (``cells[live] = data[live]``), which copies the live rows twice,
+    read dense grids in 1.63x the time of ``astype`` against 1.49x for row runs."""
     cells = np.zeros(data.shape)
+    if not cells.size:  # a header of 2**32 - 1 rows by 0 columns would still get a flag per row; BevGrid rejects it
+        return cells
     live = np.concatenate(([False], np.bitwise_or.reduce(data.view(f"u{data.itemsize}"), axis=1) != 0, [False]))
     edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
     for start, stop in zip(edges[::2], edges[1::2]):

@@ -803,6 +803,14 @@ class TestBoundary:
         assert main(["seg-iou", "--pairs", str(pairs)]) == EXIT_INPUT_PARSE
         assert capsys.readouterr().err == f"error: {pairs}:1: {tmp_path / message}\n"
 
+    def test_grid_of_no_columns_is_input_error(self, tmp_path, capsys):
+        # a header-only file matches 2^32 - 1 rows of 0 cells; nothing is sized by the rows
+        grid, pairs = tmp_path / "empty.bevg", tmp_path / "pairs.csv"
+        grid.write_bytes(struct.pack("<4sII4d", b"BEVG", 2**32 - 1, 0, 0.0, 1.0, 0.0, 1.0))
+        pairs.write_text(f"car,{grid},{grid}\n")
+        assert main(["seg-iou", "--pairs", str(pairs)]) == EXIT_INPUT_PARSE
+        assert capsys.readouterr().err == f"error: {pairs}:1: rows and cols must be >= 1\n"
+
     @pytest.mark.parametrize("command", ["seg-iou --pairs {manifest}",
                                          "eval --pred {pred_jsonl} --gt {gt_jsonl} --groups {manifest}"],
                              ids=["pairs", "groups"])

@@ -3,6 +3,7 @@ while a held grid takes memory only for the pages of its nonzero rows."""
 
 import csv
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -154,6 +155,36 @@ class TestErrorsKeepTheirMessages:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: trailing bytes after the grid payload')}$"):
             gridio.read_grid(path)
 
+    @pytest.mark.parametrize("rows,cols", [(2**32 - 1, 0), (0, 2**32 - 1), (0, 0), (1, 0)])
+    def test_zero_sized_header(self, rows, cols, tmp_path):
+        # a header-only file matches a header of no cells; the reader must not size work by rows alone
+        pytest.importorskip("resource")
+        path = tmp_path / "empty.bevg"
+        path.write_bytes(HEADER.pack(b"BEVG", rows, cols, *EXTENT))
+        done = run_bevlab(ZERO_SIZED, path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "rows and cols must be >= 1\n"
+
+
+def run_bevlab(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this checkout's bevlab, on one BLAS thread."""
+    src = Path(bevlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+ZERO_SIZED = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))  # a 4e9-row temporary fails here, not in the OOM killer
+    from bevlab import gridio
+    try:
+        gridio.read_grid(sys.argv[1])
+    except ValueError as exc:
+        print(exc)
+""")
+
 
 HOLD_GRIDS = textwrap.dedent("""
     import os, sys
@@ -170,16 +201,14 @@ HOLD_GRIDS = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc (Linux)")
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm") or platform.libc_ver()[0] != "glibc",
+                    reason="reads the resident set from /proc (Linux); the bound assumes glibc's malloc and calloc")
 def test_held_sparse_grids_take_memory_only_for_their_rows(tmp_path):
     # 100 held 500 x 500 grids of one car each: 200 MB as dense float64 cells, 11-24 MB sparse
     # (Linux x86-64, glibc: heap-allocated zeros also hold the heap top that calloc clears)
     path = tmp_path / "one_car.bevg"
     box = Box3D(x=3.3, y=0.0, z=41.7, l=4.3, w=1.8, h=1.5, yaw=0.0, category="car")
     gridio.write_grid(rasterize([box], BevGrid(500, 500, EXTENT)), path)
-    src = Path(bevlab.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", HOLD_GRIDS, str(path)], capture_output=True, text=True, env=env,
-                          timeout=60)
+    done = run_bevlab(HOLD_GRIDS, path)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 50e6
