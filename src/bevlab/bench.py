@@ -180,7 +180,6 @@ def theorem1_experiment(
     sgd_template: SgdConfig,
     n_seeds: int,
     objects_per_category: int = 10_000,
-    depth_range: tuple[float, float] = (20.0, 80.0),
 ) -> TheoremReport:
     """For each length and seed, train L1 / L2 / dice models on the idealized
     simulator and evaluate their AP3D on a fresh synthetic scene.  Raises
@@ -203,7 +202,6 @@ def theorem1_experiment(
                 SceneConfig(
                     categories=((name, ell),),
                     objects_per_category=objects_per_category,
-                    depth_range=depth_range,
                     feature_dim=dim,
                     sigma=sigma,
                     seed=scene_seed,

@@ -9,11 +9,12 @@ winning ties.  Length bins classify a ground truth by its maximum dimension;
 unmatched predictions (false positives) fall in the bin of their own maximum
 dimension.
 
-The evaluator works on columns.  Each frame holds its boxes as
-:class:`~bevlab.geometry.BoxArray`; the prediction/GT pairs that can overlap
-are found once per call, by the BEV circumcircles of the boxes; each such
-pair's IoU is computed once, by the vectorized twin of the IoU function, and
-reused for every threshold; matching, binning and AP run on arrays.
+The evaluator works on columns.  Each frame holds its boxes only as
+:class:`~bevlab.geometry.BoxArray`, and builds Box3D lists when they are
+read; the prediction/GT pairs that can overlap are found once per call, by
+the BEV circumcircles of the boxes; each such pair's IoU is computed once,
+by the vectorized twin of the IoU function, and reused for every threshold;
+matching, binning and AP run on arrays.
 
 An IoU function ``fn`` must carry that twin as ``fn.pairwise(a, b)``: it
 takes two (K, 7) arrays of box values in Box3D field order, returns the K
@@ -55,8 +56,6 @@ DEFAULT_BINS: tuple[tuple[float, float], ...] = ((0.0, 5.0), (5.0, 10.0), (10.0,
 
 ALL_BIN = "all"
 
-IouFn = Callable[[Box3D, Box3D], float]
-
 # Meters added to the circumcircle reach, so that rounding in the centre
 # distance never drops a pair whose footprints touch.
 _REACH_SLACK = 1e-6
@@ -71,15 +70,16 @@ def bin_label(bin_range: tuple[float, float]) -> str:
 class FrameSet:
     """Predictions (scored) and ground truths (unscored) of one frame.
 
-    The boxes are held as columns, ``pred_boxes`` and ``gt_boxes``.  A frame
-    made from Box3D lists keeps them as ``predictions`` and
-    ``ground_truths``; one made with :meth:`from_columns` builds those lists
-    on first read.
+    The boxes are held only as columns, ``pred_boxes`` and ``gt_boxes``: a
+    frame made from Box3D iterables converts them once, and one made with
+    :meth:`from_columns` takes the columns as given.  The Box3D lists
+    ``predictions`` and ``ground_truths`` are built from the columns on first
+    read.
     """
 
-    def __init__(self, frame_id: str, predictions: Sequence[Box3D] = (), ground_truths: Sequence[Box3D] = ()):
-        self.predictions, self.ground_truths = list(predictions), list(ground_truths)
-        self._set(frame_id, BoxArray.from_boxes(self.predictions), BoxArray.from_boxes(self.ground_truths))
+    def __init__(self, frame_id: str, predictions: Iterable[Box3D] = (), ground_truths: Iterable[Box3D] = ()):
+        # from_boxes reads its input more than once, and a caller may pass a generator
+        self._set(frame_id, BoxArray.from_boxes(list(predictions)), BoxArray.from_boxes(list(ground_truths)))
 
     @classmethod
     def from_columns(cls, frame_id: str, pred_boxes: BoxArray, gt_boxes: BoxArray) -> "FrameSet":
@@ -130,7 +130,6 @@ class ApReport:
 class SegIoUReport:
     per_category: dict[str, float]
     mean_foreground: float
-    mean_all: float | None = None
 
 
 def _window_pairs(a_key: np.ndarray, a_lo: np.ndarray, a_hi: np.ndarray, b_key: np.ndarray, b_x: np.ndarray):
@@ -166,7 +165,7 @@ class _Pairs:
     the IoU function's ``pairwise`` twin.  ``inspect.unwrap`` finds the twin
     of a wrapper that sets only ``__wrapped__``, as tracing wrappers do."""
 
-    def __init__(self, frames: Sequence[FrameSet], iou_fn: IouFn) -> None:
+    def __init__(self, frames: Sequence[FrameSet], iou_fn: Callable[[Box3D, Box3D], float]) -> None:
         twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
         if twin is None:
             raise ValueError("iou_fn must have a pairwise twin, as iou3d and bev_iou have")
@@ -224,7 +223,7 @@ def match_greedy(
     frame: FrameSet,
     category: str,
     iou_threshold: float,
-    iou_fn: IouFn = iou3d,
+    iou_fn: Callable[[Box3D, Box3D], float] = iou3d,
 ) -> list[tuple[int, int | None]]:
     """Greedy score-descending matching within one frame and category.
 
@@ -274,7 +273,7 @@ def evaluate(
     frames: Sequence[FrameSet],
     thresholds: Sequence[float] = (0.5, 0.25),
     bins: Sequence[tuple[float, float]] = DEFAULT_BINS,
-    iou_fn: IouFn = iou3d,
+    iou_fn: Callable[[Box3D, Box3D], float] = iou3d,
     groups: Mapping[str, str] | None = None,
 ) -> ApReport:
     """Per-category, per-threshold, per-length-bin AP over a set of frames.
@@ -374,8 +373,9 @@ def center_nms_rows(groups: np.ndarray, boxes: BoxArray, radius: float = 4.0) ->
     of its category has its BEV center within ``radius`` meters.  Returns
     the kept rows: groups by ascending code, then in visiting order.  The
     first box of each (frame, category, radius/2 cell) finds its neighbours in
-    a searchsorted window up front, any other kept box when it is visited: a
-    dense cluster costs its size times its cells, not its size squared."""
+    a searchsorted window on x up front, any other kept box when it is
+    visited: a dense cluster costs its size times its cells, and boxes that
+    share an x cost their number squared."""
     check_ranges(radius=radius)
     if np.isnan(boxes.scores).any():
         raise ValueError("center_nms requires scored boxes")
@@ -438,7 +438,7 @@ def oracle_swap(frame: FrameSet, fields: Iterable[str], radius: float = 4.0) -> 
         if best is not None and best_dist < radius and fields:
             pred = replace(pred, **{f: getattr(best, f) for f in fields})
         swapped.append(pred)
-    return FrameSet(frame.frame_id, swapped, list(frame.ground_truths))
+    return FrameSet.from_columns(frame.frame_id, BoxArray.from_boxes(swapped), frame.gt_boxes)
 
 
 def seg_miou(
@@ -449,8 +449,9 @@ def seg_miou(
     """Dataset-level segmentation IoU per category from (pred, gt) grid pairs.
 
     Intersections and unions accumulate over all frames before dividing;
-    frames where both grids are empty contribute nothing.  Categories whose
-    accumulated union stays empty are excluded from the means.
+    frames where both grids are empty contribute nothing.  ``mean_foreground``
+    averages the ``foreground`` categories (all, by default) whose
+    accumulated union is not empty.
     A cell is foreground when its value reaches ``binarize_threshold``, in (0, 1].
     """
     check_ranges(binarize_threshold=binarize_threshold)
@@ -468,9 +469,4 @@ def seg_miou(
         per_category[cat] = inter / union if union else math.nan
     fg = set(foreground) if foreground is not None else set(pairs)
     fg_vals = [v for c, v in per_category.items() if c in fg and not math.isnan(v)]
-    all_vals = [v for v in per_category.values() if not math.isnan(v)]
-    return SegIoUReport(
-        per_category=per_category,
-        mean_foreground=float(np.mean(fg_vals)) if fg_vals else math.nan,
-        mean_all=float(np.mean(all_vals)) if all_vals else math.nan,
-    )
+    return SegIoUReport(per_category=per_category, mean_foreground=float(np.mean(fg_vals)) if fg_vals else math.nan)

@@ -61,11 +61,9 @@ def svg_line_plot(
     x_label: str,
     y_label: str,
     log_y: bool = False,
-    width: int = 640,
-    height: int = 440,
 ) -> None:
-    """Minimal native SVG plot: one polyline per named series plus axes."""
-    margin = 60
+    """Minimal native SVG plot, 640 by 440 pixels: one polyline per named series plus axes."""
+    width, height, margin = 640, 440, 60
     pw, ph = width - 2 * margin, height - 2 * margin
     palette = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 

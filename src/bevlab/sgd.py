@@ -268,7 +268,6 @@ class ConvergenceFit:
     c1: float
     c2: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]
 
 
 def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +331,8 @@ def _simulate(config: SgdConfig, trials: range) -> tuple[np.ndarray, np.ndarray]
                 g *= s_j
                 block -= np.multiply(g[:, None], hj, out=prod)
     dev = w - config.w_star
-    return w, (dev * dev).sum(1)
+    with np.errstate(over="ignore"):  # a huge l2 weight squares past float64; run_ensemble reports it, naming sigma
+        return w, (dev * dev).sum(1)
 
 
 def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
@@ -416,7 +416,7 @@ def fit_lemma1(points: Sequence[tuple[float, float]]) -> ConvergenceFit:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return ConvergenceFit(c1=float(c1), c2=float(c2), r_squared=max(0.0, min(1.0, r2)), points=tuple(pts))
+    return ConvergenceFit(c1=float(c1), c2=float(c2), r_squared=max(0.0, min(1.0, r2)))
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,13 @@ class TestTheorem1Experiment:
             theorem1_experiment([4.0], sigma=1e154, sgd_template=self._template(steps=50), n_seeds=1,
                                 objects_per_category=20)
 
+    def test_overflowed_l2_deviation_is_quiet(self):
+        # below that sigma the l2 weight stays finite but its squared deviation does not; the
+        # experiment never reads the deviation, so it warns of no overflow and scores every row
+        report = theorem1_experiment([4.0], sigma=3e153, sgd_template=self._template(steps=50), n_seeds=2,
+                                     objects_per_category=50)
+        assert [(r.loss, r.ap50) for r in report.rows if r.loss != "l1"] == [("l2", 0.0), ("dice", 1.0)] * 2
+
     def test_rows_pinned(self, monkeypatch):
         # rows of the idealized trainer's streams; scoring each trained
         # weight's frame in frames of 25 rays of Box3D lists gives the same AP
