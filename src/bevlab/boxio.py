@@ -13,6 +13,7 @@ by one, to name the first faulty line.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from itertools import chain
@@ -113,11 +114,22 @@ def _line_fault(line: str) -> str | None:
     return found and found[1]
 
 
+def _text(raw: bytes) -> str:
+    """``raw`` as ``open(path).read()`` decodes it: default encoding, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw)).read()
+
+
 def read_box_lines(path) -> BoxLines:
     """Parse a JSONL box file into columns, boxes in file order.  The first
-    faulty line is reported, as checking the lines one by one reports it."""
-    with open(path) as fh:
-        numbered = [(no, line) for no, line in enumerate(map(str.strip, fh.read().split("\n")), start=1) if line]
+    faulty line is reported, as checking the lines one by one reports it; so
+    is the line of the first byte that does not decode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = _text(raw)
+    except UnicodeDecodeError as exc:
+        raise BoxFormatError(path, _text(raw[:exc.start]).count("\n") + 1, str(exc)) from None
+    numbered = [(no, line) for no, line in enumerate(map(str.strip, text.split("\n")), start=1) if line]
     try:
         labels, values, scores = _columns([line for _, line in numbered])
         frame_codes, frame_names = _codes([str(frame) for frame, _ in labels])
@@ -131,9 +143,6 @@ def read_box_lines(path) -> BoxLines:
         raise
 
 
-_LINE = '{"frame": %s, "category": %s, "x": %r, "y": %r, "z": %r, "l": %r, "w": %r, "h": %r, "yaw": %r'
-
-
 def write_box_lines(lines: BoxLines, path) -> None:
     """One line per box, as ``json.dumps`` writes the box's object (``score``
     only where the box has one)."""
@@ -141,6 +150,7 @@ def write_box_lines(lines: BoxLines, path) -> None:
     boxes = lines.boxes
     rows = zip(lines.frame_codes.tolist(), boxes.codes.tolist(), boxes.values.tolist(), boxes.scores.tolist())
     with open(path, "w") as fh:
-        for frame, category, values, score in rows:
-            tail = "}\n" if math.isnan(score) else ', "score": %r}\n' % score
-            fh.write(_LINE % (frames[frame], categories[category], *values) + tail)
+        for frame, category, (x, y, z, l, w, h, yaw), score in rows:
+            tail = "}\n" if math.isnan(score) else f', "score": {score!r}}}\n'
+            fh.write(f'{{"frame": {frames[frame]}, "category": {categories[category]}, "x": {x!r}, "y": {y!r}, '
+                     f'"z": {z!r}, "l": {l!r}, "w": {w!r}, "h": {h!r}, "yaw": {yaw!r}{tail}')

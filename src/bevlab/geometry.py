@@ -11,6 +11,7 @@ row-major with rows spanning z and columns spanning x.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,6 +162,22 @@ class RayObject:
             raise ValueError("length must be > 0")
 
 
+def zero_cells(shape: tuple[int, int]) -> np.ndarray:
+    """Zero float64 cells of ``shape`` in a private anonymous mapping of their own.
+
+    A page is resident only once a cell on it is written, and dropping the
+    cells unmaps them; ``np.zeros`` reuses heap memory that ``calloc`` clears
+    once glibc's mmap threshold has risen.  No cells, no ``MAP_PRIVATE``
+    (Windows) or a failed map (``vm.max_map_count``) fall back to ``np.zeros``."""
+    nbytes = 8 * math.prod(int(n) for n in shape)
+    if nbytes and hasattr(mmap, "MAP_PRIVATE"):
+        try:
+            return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=np.float64).reshape(shape)
+        except (OSError, OverflowError):  # past ssize_t, np.zeros reports the size as it always did
+            pass
+    return np.zeros(shape)
+
+
 @dataclass
 class BevGrid:
     """Soft-occupancy grid over a metric BEV extent; cell values in [0, 1]."""
@@ -179,7 +196,7 @@ class BevGrid:
         if not (math.inf > x_max - x_min > 0 and math.inf > z_max - z_min > 0):
             raise ValueError("extent must be finite and non-degenerate")
         if self.cells is None:  # an empty grid needs no value check
-            self.cells = np.zeros((self.rows, self.cols))
+            self.cells = zero_cells((self.rows, self.cols))
             return
         self.cells = np.asarray(self.cells, dtype=np.float64)
         if self.cells.shape != (self.rows, self.cols):

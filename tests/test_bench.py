@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bevlab
 from bevlab import bench
 from bevlab.bench import (
     SceneConfig,
@@ -296,3 +303,41 @@ PINNED_ROWS = [
     ("l2", 4.0, 1, 0.3440858002629764, 0.7576743947662558, 1.2992380789960438),
     ("dice", 4.0, 1, 0.4967686467317604, 0.8544152845066151, 1.0549111207867214),
 ]
+
+
+# The BLAS and LAPACK calls of bench and sgd: the feature-dim dot products (np.linalg.norm, w @ w), the
+# matrix-vector products over objects, and polyfit's least squares.  OpenBLAS sums a dot product of more
+# than 10,000 values on several threads, so the dims stay at or below that.
+BLAS_RESULTS = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from bevlab import bench, sgd
+    from bevlab.losses import LossKind
+
+    digest = hashlib.sha256()
+    for dim, n in ((16, 100_000), (64, 20_000), (3, 50_000), (700, 200)):
+        scene = bench.generate_scene(bench.SceneConfig((("car", 4.0), ("truck", 12.0)), n, feature_dim=dim, seed=dim))
+        predicted = bench.simulate_predictions(scene, np.random.default_rng(dim).standard_normal(dim))
+        for values in (scene.w_star, scene.depths, scene.features, predicted.pred_boxes.values):
+            digest.update(values.tobytes())
+    template = sgd.SgdConfig(dim=16, sigma=0.5, loss=LossKind.l1(), steps=300, base_seed=1)
+    digest.update(repr(bench.theorem1_experiment([4.0, 12.0], 0.5, template, 2, 12_000).rows).encode())
+    rng = np.random.default_rng(5)
+    for n in (3, 1000, 100_000):
+        x = rng.uniform(0, 2, n)
+        digest.update(repr(sgd.fit_lemma1(zip(x, 0.3 * x + 0.1 + rng.normal(0, 0.01, n)))).encode())
+    print(digest.hexdigest())
+""")
+
+
+def test_results_independent_of_blas_threads():
+    src = Path(bevlab.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_RESULTS], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, **blas, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]

@@ -288,6 +288,18 @@ class TestReadBoxLines:
         message = outcome(read_box_lines, path)[1]
         assert message.startswith(f"{path}:2: invalid JSON: maximum recursion depth exceeded")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+        # a box file that is not text, such as a .bevg grid, names the file and the line of its first bad byte
+        good = json.dumps({"frame": "f", "category": "car", "x": 0.0, "y": 0.0, "z": 0.0, "l": 1.0, "w": 1.0,
+                           "h": 1.0, "yaw": 0.0})
+        path = tmp_path / "boxes.jsonl"
+        path.write_bytes(newline.join([good, "", good + " \xff", good]).encode("latin-1"))
+        kind, message = outcome(read_box_lines, path)  # an invalid byte where UTF-8 is the locale's encoding
+        assert kind == "error" and message.startswith(f"{path}:3: ")
+        path.write_bytes(newline.join([good, "", good]).encode())
+        assert len(read_box_lines(path)) == 2
+
 
 class TestOnePathForValidFiles:
     """The per-line rule runs only once the fast path has failed, and only

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -876,6 +877,68 @@ def fuzzed_argv(draw):
                    *(flag(name, draw(FUZZ_FLOATS)) for name in ("sigma", "length", "beta"))]
 
 
+GRID_HEADER = struct.Struct("<4sII4d")
+GRID_EXTENT = (-1.0, 1.0, 0.0, 2.0)
+BAD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf, 1.5, -0.5, 3e38])
+
+
+GRID_FAULTS = ["header", "magic", "no cells", "short", "long", "cell", "ragged", "not a number", "csv cell", "no rows"]
+
+
+@st.composite
+def bad_grid_file(draw, fault: str):
+    """(suffix, contents, message): a grid file with ``fault``, and the reader's message with
+    ``{path}`` for the file's path."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.lists(st.floats(0, 1, width=32), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    if fault in ("ragged", "not a number", "csv cell", "no rows"):
+        blank, spoilt = draw(st.integers(0, 2)), draw(st.integers(0, rows - 1))
+        text = [f"# extent,{','.join(map(repr, GRID_EXTENT))}"] + [""] * blank + [",".join(map(repr, row))
+                                                                                    for row in cells]
+        if fault == "ragged":
+            width = draw(st.integers(1, 5).filter(lambda n: n != cols))
+            text.append(",".join(["0.5"] * width))
+            message = f"{{path}}:{2 + blank + rows}: {width} cells, but the first row has {cols}"
+        elif fault == "not a number":
+            value = draw(st.sampled_from(["x", "1.0.0", "--1", "one", "0x1p-2"]))
+            text[1 + blank + spoilt] = ",".join([value] * cols)
+            message = f"{{path}}:{2 + blank + spoilt}: could not convert string to float: {value!r}"
+        elif fault == "csv cell":
+            text[1 + blank + spoilt] = ",".join([repr(draw(BAD_CELLS))] * cols)
+            message = "cell values must be finite and lie in [0, 1]"
+        else:
+            text = text[:1 + blank]
+            message = f"{{path}}:{2 + blank}: no grid rows after the extent header"
+        return ".csv", "\n".join(text).encode() + b"\n", message
+    flat = [v for row in cells for v in row]
+    payload = struct.pack(f"<{len(flat)}f", *flat)
+    header = GRID_HEADER.pack(b"BEVG", rows, cols, *GRID_EXTENT)
+    if fault == "header":
+        return ".bevg", header[:draw(st.integers(0, GRID_HEADER.size - 1))], "{path}: truncated grid header"
+    if fault == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"BEVG"))
+        return ".bevg", magic + header[4:] + payload, f"{{path}}: bad magic {magic!r}"
+    if fault == "no cells":
+        rows, cols = draw(st.sampled_from([(0, cols), (rows, 0), (0, 0), (0, 2**32 - 1), (2**32 - 1, 0)]))
+        return ".bevg", GRID_HEADER.pack(b"BEVG", rows, cols, *GRID_EXTENT), "rows and cols must be >= 1"
+    if fault == "short":
+        cut = draw(st.integers(1, len(payload)))
+        return ".bevg", header + payload[:-cut], "{path}: truncated grid payload"
+    if fault == "long":
+        extra = draw(st.binary(min_size=1, max_size=9))
+        return ".bevg", header + payload + extra, "{path}: trailing bytes after the grid payload"
+    flat[draw(st.integers(0, len(flat) - 1))] = draw(BAD_CELLS)
+    return ".bevg", header + struct.pack(f"<{len(flat)}f", *flat), "cell values must be finite and lie in [0, 1]"
+
+
+def run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestFuzz:
     @given(fuzzed_argv())
     @example(["variance", "--loss=l2", "--sigma=1e100", "--samples=1000"])
@@ -893,6 +956,28 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_FLAGS, EXIT_OUTPUT_IO, EXIT_INPUT_PARSE), argv
         if code == EXIT_OK:
             assert not re.search(r"\b(inf|nan)\b", out.getvalue()), (argv, out.getvalue())
+
+    @pytest.mark.parametrize("fault", GRID_FAULTS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_bad_grid_files_exit_4(self, fault, data):
+        """``seg-iou`` names the manifest line and the reader's message; ``rasterize``, given the
+        grid file for its box file, names the file and a line."""
+        suffix, contents, message = data.draw(bad_grid_file(fault))
+        as_pred = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            path, good, manifest = (Path(tmp, name) for name in (f"bad{suffix}", "good.bevg", "pairs.csv"))
+            path.write_bytes(contents)
+            gridio.write_grid(BevGrid(2, 2, GRID_EXTENT), good)
+            manifest.write_text(f"car,{path},{good}\n" if as_pred else f"car,{good},{path}\n")
+            code, err = run_main(["seg-iou", "--pairs", str(manifest)])
+            assert (code, err) == (EXIT_INPUT_PARSE, f"error: {manifest}:1: {message.format(path=path)}\n")
+            code, err = run_main(["rasterize", "--input", str(path), "--rows", "2", "--cols", "2",
+                                  f"--extent={','.join(map(repr, GRID_EXTENT))}", "--out", str(Path(tmp, "out.bevg"))])
+            if not contents:  # a box file of no lines is valid
+                assert code == EXIT_OK
+            else:
+                assert code == EXIT_INPUT_PARSE and re.fullmatch(rf"error: {re.escape(str(path))}:\d+: .+\n", err), err
 
 
 COMMAND_NAMES = ["variance", "threshold", "sweep", "sgd", "theorem1", "eval", "nms", "rasterize", "seg-iou"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import mmap
 import os
 import struct
 import subprocess
@@ -27,7 +28,7 @@ from bevlab.geometry import (
     ray_dice_coefficient,
     ray_iou,
 )
-from bevlab import gridio
+from bevlab import geometry, gridio
 from bevlab.geometry import _AXIS_EPS, _footprint_intersection_area, _footprint_overlaps
 
 
@@ -700,6 +701,48 @@ class TestGridDice:
             pred = rasterize([ray_box(25.0 + float(eta), ell)], template)
             closed = max(0.0, 1.0 - abs(float(eta)) / ell)
             assert abs(grid_dice(pred, gt) - closed) <= 2 * cell / ell
+
+
+class TestZeroCells:
+    @pytest.mark.parametrize("shape", [(1, 1), (500, 500), (3, 1025), (1, 513)])
+    def test_writable_zero_float64_cells(self, shape):
+        cells = geometry.zero_cells(shape)
+        assert cells.dtype == np.float64 and cells.shape == shape
+        assert cells.flags.c_contiguous and cells.flags.writeable
+        assert cells.tobytes() == np.zeros(shape).tobytes()
+        cells[-1, -1] = 0.5
+        assert cells.sum() == 0.5
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no private mappings on this platform")
+    def test_each_call_maps_its_own_cells(self):
+        a, b = geometry.zero_cells((4, 3)), geometry.zero_cells((4, 3))
+        assert not a.flags.owndata  # a view of the mapping
+        a[0, 0] = 1.0
+        assert not b.any()
+
+    def test_failed_map_falls_back_to_zeros(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(geometry.mmap, "mmap", refuse)
+        cells = geometry.zero_cells((5, 7))
+        assert cells.flags.owndata and cells.tobytes() == np.zeros((5, 7)).tobytes()
+        assert rasterize([make_box(z=1.0)], BevGrid(5, 7, (-4.0, 4.0, 0.0, 10.0))).cells.flags.owndata
+
+    def test_no_private_mappings_falls_back_to_zeros(self, monkeypatch):
+        monkeypatch.delattr(geometry.mmap, "MAP_PRIVATE", raising=False)
+        cells = geometry.zero_cells((5, 7))
+        assert cells.flags.owndata and cells.tobytes() == np.zeros((5, 7)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (2**32 - 1, 0), (0, 0)])
+    def test_no_cells_are_plain_zeros(self, shape):
+        cells = geometry.zero_cells(shape)
+        assert cells.shape == shape and cells.dtype == np.float64 and cells.flags.owndata
+
+    def test_too_large_reports_as_np_zeros(self):
+        # 2**67 bytes does not fit in ssize_t: the map raises OverflowError, and np.zeros names the size
+        with pytest.raises(ValueError, match="array is too big"):
+            geometry.zero_cells((2**32, 2**32))
 
 
 class TestGridIo:
