@@ -8,7 +8,9 @@ malformed lines raise :class:`BoxFormatError` carrying the line number.
 A file is read into columns (:class:`BoxLines`) and written from them.
 A read decodes all lines and checks the columns whole on one fast path;
 only if that fails does :func:`_line_fault` check the lines in order, one
-by one, to name the first faulty line.
+by one, to name the first faulty line.  :func:`read_text` reads every text
+input of bevlab (box files, CSV grids and manifests, ``--config``) and names
+the file and line of a byte that does not decode.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .geometry import BoxArray, box_fault
 
-__all__ = ["BoxFormatError", "BoxLines", "read_box_lines", "write_box_lines"]
+__all__ = ["BoxFormatError", "BoxLines", "read_box_lines", "read_text", "write_box_lines"]
 
 _REQUIRED = ("frame", "category", "x", "y", "z", "l", "w", "h", "yaw")
 _NUMERIC = ("x", "y", "z", "l", "w", "h", "yaw")
@@ -114,21 +116,27 @@ def _line_fault(line: str) -> str | None:
     return found and found[1]
 
 
-def _text(raw: bytes) -> str:
-    """``raw`` as ``open(path).read()`` decodes it: default encoding, universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(raw)).read()
+def _text(raw: bytes, newline=None) -> str:
+    """``raw`` as ``open(path, newline=newline).read()`` decodes it: the default encoding."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline=newline).read()
+
+
+def read_text(path, newline=None) -> str:
+    """The text of ``path`` as ``open(path, newline=newline).read()`` reads it; a byte that does not decode
+    raises :class:`BoxFormatError` with the line it is on, as every text input of bevlab reports it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return _text(raw, newline)
+    except UnicodeDecodeError as exc:
+        raise BoxFormatError(path, _text(raw[:exc.start]).count("\n") + 1, str(exc)) from None
 
 
 def read_box_lines(path) -> BoxLines:
     """Parse a JSONL box file into columns, boxes in file order.  The first
     faulty line is reported, as checking the lines one by one reports it; so
     is the line of the first byte that does not decode."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = _text(raw)
-    except UnicodeDecodeError as exc:
-        raise BoxFormatError(path, _text(raw[:exc.start]).count("\n") + 1, str(exc)) from None
+    text = read_text(path)
     numbered = [(no, line) for no, line in enumerate(map(str.strip, text.split("\n")), start=1) if line]
     try:
         labels, values, scores = _columns([line for _, line in numbered])

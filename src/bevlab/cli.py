@@ -9,7 +9,6 @@ commas, true/false switching an on/off flag); explicit flags win.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -63,17 +62,16 @@ def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
     named by ``columns``, e.g. "category,group"; comment and blank rows are skipped."""
     width = columns.count(",") + 1
     rows = []
-    with open(path, newline="") as fh:
-        try:
-            for line_no, row in gridio.csv_records(csv.reader(fh), path):
-                cells = [v.strip() for v in row]
-                if not any(cells) or cells[0].startswith("#"):
-                    continue
-                if len(cells) != width:
-                    raise InputParseError(f"{path}:{line_no}: expected {columns}")
-                rows.append((line_no, cells))
-        except ValueError as exc:  # a csv.Error, named by gridio.csv_records
-            raise InputParseError(str(exc)) from None
+    try:
+        for line_no, row in gridio.csv_records(gridio.csv_reader(path), path):
+            cells = [v.strip() for v in row]
+            if not any(cells) or cells[0].startswith("#"):
+                continue
+            if len(cells) != width:
+                raise InputParseError(f"{path}:{line_no}: expected {columns}")
+            rows.append((line_no, cells))
+    except ValueError as exc:  # a byte that does not decode, or a csv.Error, each named with its line
+        raise InputParseError(str(exc)) from None
     return rows
 
 
@@ -367,8 +365,7 @@ def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> tuple[
     if not path:
         return EXIT_OK, []
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        config = json.loads(boxio.read_text(path))
     except (OSError, ValueError) as exc:
         return _error(f"cannot read --config: {exc}", EXIT_INPUT_PARSE), []
     if not isinstance(config, dict):
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
     except OutputIOError as exc:
         return _error(str(exc), EXIT_OUTPUT_IO)
     # every other OSError comes from reading input: outputs are written through _write
-    except (boxio.BoxFormatError, InputParseError, OSError, UnicodeDecodeError) as exc:
+    except (boxio.BoxFormatError, InputParseError, OSError) as exc:
         return _error(str(exc), EXIT_INPUT_PARSE)
     except ValueError as exc:
         sub_parser.error(str(exc))

@@ -25,16 +25,18 @@ nonzero pages.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .boxio import read_text
 from .geometry import BevGrid, zero_cells
 
 __all__ = ["read_grid", "write_grid", "read_grid_csv", "write_grid_csv", "read_grid_binary", "write_grid_binary",
-           "csv_records"]
+           "csv_reader", "csv_records"]
 
 _MAGIC = b"BEVG"
 _HEADER = struct.Struct("<4sII4d")
@@ -110,20 +112,24 @@ def csv_records(reader, path):
         raise ValueError(f"{path}:{line}: {exc}") from None
 
 
+def csv_reader(path):
+    """A ``csv.reader`` of ``path``'s text, read whole by ``boxio.read_text`` with ``newline=""``."""
+    return csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+
+
 def read_grid_csv(path) -> BevGrid:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = csv_records(reader, path)
-        first = next(records, (1, []))[1]
-        if len(first) != 5 or first[0] != "# extent":
-            raise ValueError(f"{path}: missing extent header")
-        extent, rows = tuple(_floats(first[1:], path, 1)), []
-        for line, row in (record for record in records if record[1]):  # blank lines are skipped
-            rows.append(_floats(row, path, line))
-            if len(row) != len(rows[0]):
-                raise ValueError(f"{path}:{line}: {len(row)} cells, but the first row has {len(rows[0])}")
-        if not rows:
-            raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
+    reader = csv_reader(path)
+    records = csv_records(reader, path)
+    first = next(records, (1, []))[1]
+    if len(first) != 5 or first[0] != "# extent":
+        raise ValueError(f"{path}: missing extent header")
+    extent, rows = tuple(_floats(first[1:], path, 1)), []
+    for line, row in (record for record in records if record[1]):  # blank lines are skipped
+        rows.append(_floats(row, path, line))
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{line}: {len(row)} cells, but the first row has {len(rows[0])}")
+    if not rows:
+        raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
     cells = _cells(np.array(rows, dtype=np.float64))
     return BevGrid(cells.shape[0], cells.shape[1], extent, cells)
 

@@ -357,57 +357,37 @@ def check_ranges(*, iou_threshold=None, radius=None, binarize_threshold=None) ->
         raise ValueError("binarize_threshold must be in (0, 1]")
 
 
-def _within(dx: np.ndarray, dz: np.ndarray, radius: float) -> np.ndarray:
-    """``math.hypot(dx, dz) < radius`` elementwise; math.hypot decides only ratios within rounding of 1."""
-    q = np.square(dx / radius) + np.square(dz / radius)
-    near = q < 1.0
-    edge = np.flatnonzero(np.abs(q - 1.0) <= 1e-9)
-    near[edge] = [math.hypot(a, b) < radius for a, b in zip(dx[edge].tolist(), dz[edge].tolist())]
-    return near
+# Offsets of the cells (``radius`` wide) where a kept box within the radius can lie.  hypot < radius bounds each
+# exact difference, so exact quotients x / radius differ by under 1.  Rounding parts them by two cells only where the
+# spacing of doubles grows between their cell edges, just under 2**m or 0, where no quotient falls: a double under
+# 2**m * radius rounds to at most the double under 2**m.  Nearby distinct x have exact floors (|x / radius| < 2**53).
+_NEAR = tuple((i, j) for i in (0.0, -1.0, 1.0) for j in (0.0, -1.0, 1.0))  # own cell first: duplicates lie there
 
 
-@np.errstate(over="ignore")  # extreme centres or radii: an infinite difference or ratio is far
+@np.errstate(over="ignore")  # extreme centres or radii: an infinite ratio is one cell
 def center_nms_rows(groups: np.ndarray, boxes: BoxArray, radius: float = 4.0) -> np.ndarray:
     """Center-based 3D NMS on columns: in each group (a frame), visit boxes by
     descending score, ties in input order, and keep a box unless a kept box
     of its category has its BEV center within ``radius`` meters.  Returns
-    the kept rows: groups by ascending code, then in visiting order.  The
-    first box of each (frame, category, radius/2 cell) finds its neighbours in
-    a searchsorted window on x up front, any other kept box when it is
-    visited: a dense cluster costs its size times its cells, and boxes that
-    share an x cost their number squared."""
+    the kept rows: groups by ascending code, then in visiting order.  One pass
+    tests each box against the kept centers in the 3 x 3 radius cells around its own."""
     check_ranges(radius=radius)
     if np.isnan(boxes.scores).any():
         raise ValueError("center_nms requires scored boxes")
     by_score = np.argsort(-boxes.scores, kind="stable")
     order = by_score[np.argsort(groups[by_score], kind="stable")]
-    n, reach = len(order), radius + _REACH_SLACK
     key, x, z = (groups * len(boxes.names) + boxes.codes)[order], boxes.values[order, 0], boxes.values[order, 2]
-    cells = np.column_stack([key, np.floor(x / radius * 2), np.floor(z / radius * 2)])
-    by_cell = np.lexsort(cells.T[::-1])  # stable: each cell's boxes in visiting order
-    cells, first, lead = cells[by_cell], np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-    lead[by_cell[first]] = True
-    a, b = _window_pairs(key[lead], x[lead] - reach, x[lead] + reach, key, x)
-    a = np.flatnonzero(lead)[a]  # visiting positions, ascending
-    pair = (a < b) & (np.abs(z[a] - z[b]) <= reach)
-    a, b = a[pair], b[pair]
-    near = _within(x[a] - x[b], z[a] - z[b], radius)
-    bounds = np.searchsorted(a[near], np.arange(n + 1))
-    visit = np.flatnonzero(~lead | (bounds[1:] > bounds[:-1]))  # a first box with no neighbour drops none
-    targets, bounds, lead = b[near].tolist(), bounds.tolist(), lead.tolist()
-    dropped = [False] * n
-    for p in visit.tolist():
-        if dropped[p]:
-            continue
-        if lead[p]:
-            later = targets[bounds[p] : bounds[p + 1]]
-        else:  # kept, though not first in its cell
-            m = p + 1 + np.flatnonzero(key[p + 1 :] == key[p])
-            later = m[_within(x[p] - x[m], z[p] - z[m], radius)].tolist()
-        for t in later:
-            dropped[t] = True
-    return order[~np.array(dropped, dtype=bool)]
+    rows = zip(key.tolist(), np.floor(x / radius).tolist(), np.floor(z / radius).tolist(), x.tolist(), z.tolist())
+    cells, keep = {}, []  # kept centers by (key, x cell, z cell); kept visiting positions
+    for p, (k, cx, cz, bx, bz) in enumerate(rows):
+        for i, j in _NEAR:
+            near = cells.get((k, cx + i, cz + j))
+            if near and any(math.hypot(kx - bx, kz - bz) < radius for kx, kz in near):
+                break
+        else:
+            cells.setdefault((k, cx, cz), []).append((bx, bz))
+            keep.append(p)
+    return order[np.array(keep, dtype=np.intp)]
 
 
 def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:

@@ -4,14 +4,18 @@
 ``legacy_center_nms`` are copies of the reader, writer and NMS loop that
 built one ``Box3D`` per line; the columnar ones must give the same boxes,
 bytes, kept rows and error messages.  ``loop_center_nms_rows`` is a copy of
-the columnar NMS before its windowed neighbour search, which must keep the
-same rows in the same order.
+the columnar NMS before it searched for neighbours: each box is tested
+against every kept box of its group and category.  ``center_nms_rows``,
+which tests only the kept boxes in the 3 x 3 radius cells around a box,
+must keep the same rows in the same order, at cell edges, on the radius
+and one double inside it, and where differences or ratios overflow.
 """
 
 import json
 import math
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from bevlab import boxio
 from bevlab.boxio import BoxFormatError, BoxLines, read_box_lines, write_box_lines
 from bevlab.geometry import Box3D, BoxArray
-from bevlab.metrics import _within, center_nms, center_nms_rows
+from bevlab.metrics import center_nms, center_nms_rows
 
 _REQUIRED = ("frame", "category", "x", "y", "z", "l", "w", "h", "yaw")
 _NUMERIC = ("x", "y", "z", "l", "w", "h", "yaw")
@@ -406,6 +410,22 @@ nms_row = st.tuples(
 )
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def nudged(value, ulps):
+    """``value`` moved ``ulps`` doubles up (or down, if negative)."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def nms_boxes(centres):
+    """One car per (x, z, score)."""
+    return BoxArray.from_boxes([Box3D(x=x, y=0.0, z=z, l=2.0, w=1.0, h=1.5, yaw=0.0, category="car", score=s)
+                                for x, z, s in centres])
+
+
 class TestWindowedNms:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(nms_row, max_size=80),
@@ -470,21 +490,64 @@ class TestWindowedNms:
             got = center_nms_rows(groups, boxes, radius)
         assert got.tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
 
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-class TestWithin:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.tuples(finite, finite), max_size=20),
            st.floats(min_value=5e-324, allow_infinity=False), st.data())
-    def test_equals_math_hypot(self, pairs, radius, data):
-        # also differences on the radius itself, and one ulp either side of it
+    def test_arbitrary_centres_and_radii(self, centres, radius, data):
+        # differences that overflow, and differences from a box at the origin on the radius
+        # itself and one ulp either side of it (a centre stays finite)
         for _ in range(3):
             a = data.draw(st.floats(0.0, math.pi / 2))
             dx, dz = radius * math.cos(a), radius * math.sin(a)
-            pairs.append((math.nextafter(dx, data.draw(st.sampled_from([0.0, math.inf]))), dz))
-        dx, dz = np.array(pairs, dtype=float).reshape(-1, 2).T
-        with np.errstate(over="ignore"):  # as center_nms_rows calls it
-            got = _within(dx, dz, radius).tolist()
-        assert got == [math.hypot(a, b) < radius for a, b in pairs]
+            dx = math.nextafter(dx, data.draw(st.sampled_from([0.0, math.inf])))
+            centres.append((min(dx, sys.float_info.max), dz))
+        boxes = nms_boxes([(0.0, 0.0, 1.0)] + [(x, z, 0.5) for x, z in centres])
+        groups = np.zeros(len(boxes), dtype=np.intp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = center_nms_rows(groups, boxes, radius)
+        assert got.tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.1 + 0.2, 1 / 3, math.sqrt(2.0), 4.0, 1e-300, 1e300]), st.data())
+    def test_centres_at_cell_edges(self, radius, data):
+        # centres within 3 ulps of a cell edge k * radius, |k| up to 2**40, each with partners
+        # on the radius and one ulp inside it, along an axis or a diagonal, across the edge
+        reach = int(min(2.0**40, sys.float_info.max / radius / 2))
+        edge = st.builds(lambda k, ulps: nudged(k * radius, ulps), st.integers(-reach, reach), st.integers(-3, 3))
+        centres = []
+        for x, z in data.draw(st.lists(st.tuples(edge, edge), min_size=1, max_size=4)):
+            centres.append((x, z, 0.9))
+            for ux, uz in data.draw(st.lists(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8),
+                                                                (-0.8, 0.6), (0.6, -0.8)]), max_size=4)):
+                px, pz = x + ux * radius, z + uz * radius
+                inside = data.draw(st.integers(0, 1))
+                centres.append((nudged(px, -inside if px > x else inside), nudged(pz, -inside if pz > z else inside),
+                                data.draw(st.sampled_from([0.9, 0.5]))))
+        boxes = nms_boxes(centres)
+        groups = np.zeros(len(boxes), dtype=np.intp)
+        assert center_nms_rows(groups, boxes, radius).tolist() == loop_center_nms_rows(groups, boxes, radius).tolist()
+
+    def test_pairs_on_the_radius_across_cell_edges(self):
+        # radius 4 and centres on multiples of 4: every difference is exact, so a partner 4 m away in the
+        # next cell is kept, and one a double nearer is dropped, at every edge up to 2**40 cells out
+        for k in (0, 2, -2, 2**20, -(2**40), 2**40 - 1):  # no partner at 0, where a double nearer is 5e-324
+            x = 4.0 * k
+            for px, pz in ((x + 4.0, 12.0), (x - 4.0, 12.0), (x, 16.0), (x, 8.0)):
+                centres = [(x, 12.0, 0.9), (px, pz, 0.5)]
+                assert center_nms_rows(np.zeros(2, dtype=np.intp), nms_boxes(centres), 4.0).tolist() == [0, 1]
+                near = (nudged(px, int(np.sign(x - px))), nudged(pz, int(np.sign(12.0 - pz))), 0.5)
+                assert center_nms_rows(np.zeros(2, dtype=np.intp), nms_boxes(centres[:1] + [near]), 4.0).tolist() == [0]
+
+    def test_a_lane_along_z_takes_little_memory(self):
+        # 2,000 boxes 5 m apart at one x: each needs only its own and the next cells' kept boxes
+        boxes = nms_boxes([(0.0, 5.0 * i, 0.5) for i in range(2000)])
+        groups = np.zeros(len(boxes), dtype=np.intp)
+        tracemalloc.start()
+        try:
+            kept = center_nms_rows(groups, boxes, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.tolist() == list(range(2000))
+        assert peak < 16 * 2**20

@@ -835,6 +835,23 @@ class TestBoundary:
         assert main(command.format(manifest=manifest, **probe_files).split()) == EXIT_INPUT_PARSE
         assert capsys.readouterr().err == f"error: {manifest}:{error}\n"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("command,prefix", [
+        ("seg-iou --pairs {bad}", "{bad}:2: "),
+        ("eval --pred {pred_jsonl} --gt {gt_jsonl} --groups {bad}", "{bad}:2: "),
+        ("seg-iou --pairs {manifest}", "{manifest}:1: {bad}:2: "),  # a CSV grid
+        ("threshold --config {bad}", "cannot read --config: {bad}:2: "),
+    ], ids=["pairs", "groups", "csv-grid", "config"])
+    def test_undecodable_byte_names_its_file_and_line(self, command, prefix, newline, probe_files, tmp_path,
+                                                      capsys):
+        # every text input reads as box files do: the file, then the line of the first byte that does not decode
+        names = {"bad": tmp_path / "bad.csv", "manifest": tmp_path / "manifest.csv"}
+        names["bad"].write_bytes(newline.join(["# extent,0,1,0,1", "car,\xff", ""]).encode("latin-1"))
+        names["manifest"].write_text(f"car,{names['bad']},{names['bad']}\n")
+        assert main(command.format(**names, **probe_files).split()) == EXIT_INPUT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + prefix.format(**names)) and "can't decode byte 0xff" in err
+
     def test_repeated_theorem1_length_is_flag_error(self, probe_files, capsys):
         run_probe("theorem1 --length 4,4 --sigma 0.5 --seeds 2 --objects 100 --steps 200 --deterministic",
                   EXIT_FLAGS, "lengths must be non-empty and distinct", probe_files, capsys)
