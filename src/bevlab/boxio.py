@@ -34,8 +34,8 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 class BoxFormatError(ValueError):
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
+    def __init__(self, path, line_no: int | None, message: str):
+        super().__init__(f"{path}: {message}" if line_no is None else f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
 

@@ -25,10 +25,6 @@ EXIT_OUTPUT_IO = 3
 EXIT_INPUT_PARSE = 4
 
 
-class InputParseError(Exception):
-    pass
-
-
 class OutputIOError(OSError):
     pass
 
@@ -62,16 +58,13 @@ def _read_manifest(path, columns: str) -> list[tuple[int, list[str]]]:
     named by ``columns``, e.g. "category,group"; comment and blank rows are skipped."""
     width = columns.count(",") + 1
     rows = []
-    try:
-        for line_no, row in gridio.csv_records(gridio.csv_reader(path), path):
-            cells = [v.strip() for v in row]
-            if not any(cells) or cells[0].startswith("#"):
-                continue
-            if len(cells) != width:
-                raise InputParseError(f"{path}:{line_no}: expected {columns}")
-            rows.append((line_no, cells))
-    except ValueError as exc:  # a byte that does not decode, or a csv.Error, each named with its line
-        raise InputParseError(str(exc)) from None
+    for line_no, row in gridio.csv_records(gridio.csv_reader(path), path):
+        cells = [v.strip() for v in row]
+        if not any(cells) or cells[0].startswith("#"):
+            continue
+        if len(cells) != width:
+            raise boxio.BoxFormatError(path, line_no, f"expected {columns}")
+        rows.append((line_no, cells))
     return rows
 
 
@@ -189,9 +182,9 @@ def _frames_from_files(pred_path, gt_path) -> list[FrameSet]:
     unscored = np.isnan(preds.boxes.scores)
     if unscored.any():
         frame = preds.frame_names[preds.frame_codes[unscored].min()]
-        raise InputParseError(f"{pred_path}: frame {frame!r} has an unscored prediction")
+        raise boxio.BoxFormatError(pred_path, None, f"frame {frame!r} has an unscored prediction")
     if not len(preds) and not len(gts):
-        raise InputParseError(f"{pred_path}, {gt_path}: no boxes to evaluate")
+        raise boxio.BoxFormatError(f"{pred_path}, {gt_path}", None, "no boxes to evaluate")
     pred_frames, gt_frames = preds.by_frame(), gts.by_frame()
     none = geometry.BoxArray((), (), ())
     return [
@@ -237,7 +230,7 @@ def cmd_nms(args) -> int:
     unscored = np.flatnonzero(np.isnan(lines.boxes.scores))
     if len(unscored):
         frame = lines.frame_names[lines.frame_codes[unscored[0]]]
-        raise InputParseError(f"{args.input}: frame {frame!r} has an unscored box; NMS requires scores")
+        raise boxio.BoxFormatError(args.input, None, f"frame {frame!r} has an unscored box; NMS requires scores")
     kept = lines.take(metrics.center_nms_rows(lines.frame_codes, lines.boxes, args.radius))
     _write(boxio.write_box_lines, kept, args.out)
     print(f"kept {len(kept)} of {len(lines)} boxes")
@@ -262,7 +255,7 @@ def cmd_seg_iou(args) -> int:
             if pred.cells.shape != gt.cells.shape:
                 raise ValueError(f"grid shapes differ: {pred.cells.shape} vs {gt.cells.shape}")
         except (OSError, ValueError) as exc:
-            raise InputParseError(f"{args.pairs}:{line_no}: {exc}") from exc
+            raise boxio.BoxFormatError(args.pairs, line_no, str(exc)) from exc
         pairs.setdefault(cat, []).append((pred, gt))
     report = metrics.seg_miou(pairs, binarize_threshold=args.threshold)
     table = [[cat, iou] for cat, iou in sorted(report.per_category.items())]
@@ -404,7 +397,7 @@ def main(argv=None) -> int:
     except OutputIOError as exc:
         return _error(str(exc), EXIT_OUTPUT_IO)
     # every other OSError comes from reading input: outputs are written through _write
-    except (boxio.BoxFormatError, InputParseError, OSError) as exc:
+    except (boxio.BoxFormatError, OSError) as exc:
         return _error(str(exc), EXIT_INPUT_PARSE)
     except ValueError as exc:
         sub_parser.error(str(exc))

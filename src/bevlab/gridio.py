@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxio import read_text
+from .boxio import BoxFormatError, read_text
 from .geometry import BevGrid, zero_cells
 
 __all__ = ["read_grid", "write_grid", "read_grid_csv", "write_grid_csv", "read_grid_binary", "write_grid_binary",
@@ -73,15 +73,15 @@ def read_grid_binary(path) -> BevGrid:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated grid header")
+            raise BoxFormatError(path, None, "truncated grid header")
         magic, rows, cols, x0, x1, z0, z1 = _HEADER.unpack(head)
         if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise BoxFormatError(path, None, f"bad magic {magic!r}")
         stored = os.fstat(fh.fileno()).st_size - _HEADER.size  # checked before reading what the header claims
         if stored < rows * cols * 4:
-            raise ValueError(f"{path}: truncated grid payload")
+            raise BoxFormatError(path, None, "truncated grid payload")
         if stored > rows * cols * 4:
-            raise ValueError(f"{path}: trailing bytes after the grid payload")
+            raise BoxFormatError(path, None, "trailing bytes after the grid payload")
         data = np.frombuffer(fh.read(stored), dtype="<f4")
     return BevGrid(rows, cols, (x0, x1, z0, z1), _cells(data.reshape(rows, cols)))
 
@@ -98,7 +98,7 @@ def _floats(cells: list[str], path, line: int) -> list[float]:
     try:
         return [float(v) for v in cells]
     except ValueError as exc:
-        raise ValueError(f"{path}:{line}: {exc}") from None
+        raise BoxFormatError(path, line, str(exc)) from None
 
 
 def csv_records(reader, path):
@@ -109,7 +109,7 @@ def csv_records(reader, path):
             yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise ValueError(f"{path}:{line}: {exc}") from None
+        raise BoxFormatError(path, line, str(exc)) from None
 
 
 def csv_reader(path):
@@ -122,14 +122,14 @@ def read_grid_csv(path) -> BevGrid:
     records = csv_records(reader, path)
     first = next(records, (1, []))[1]
     if len(first) != 5 or first[0] != "# extent":
-        raise ValueError(f"{path}: missing extent header")
+        raise BoxFormatError(path, None, "missing extent header")
     extent, rows = tuple(_floats(first[1:], path, 1)), []
     for line, row in (record for record in records if record[1]):  # blank lines are skipped
         rows.append(_floats(row, path, line))
         if len(row) != len(rows[0]):
-            raise ValueError(f"{path}:{line}: {len(row)} cells, but the first row has {len(rows[0])}")
+            raise BoxFormatError(path, line, f"{len(row)} cells, but the first row has {len(rows[0])}")
     if not rows:
-        raise ValueError(f"{path}:{reader.line_num + 1}: no grid rows after the extent header")
+        raise BoxFormatError(path, reader.line_num + 1, "no grid rows after the extent header")
     cells = _cells(np.array(rows, dtype=np.float64))
     return BevGrid(cells.shape[0], cells.shape[1], extent, cells)
 
