@@ -70,7 +70,6 @@ class SyntheticScene:
 
     config: SceneConfig
     w_star: np.ndarray
-    categories: list[str]  # per object
     lengths: np.ndarray  # (n,)
     depths: np.ndarray  # (n,), equals features @ w_star exactly
     features: np.ndarray  # (n, dim)
@@ -78,7 +77,12 @@ class SyntheticScene:
     names: tuple[str, ...]  # distinct categories in order of first appearance
 
     def __len__(self) -> int:
-        return len(self.categories)
+        return len(self.codes)
+
+    @property
+    def categories(self) -> list[str]:
+        """Each object's category name."""
+        return [self.names[c] for c in self.codes.tolist()]
 
 
 def generate_scene(config: SceneConfig) -> SyntheticScene:
@@ -92,7 +96,6 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     direction /= np.linalg.norm(direction)
     w_star = direction * 0.5 * (z_min + z_max)
     n = len(config.categories) * config.objects_per_category
-    cats = [name for name, _ in config.categories for _ in range(config.objects_per_category)]
     names = tuple(dict.fromkeys(name for name, _ in config.categories))  # a repeated name keeps its first code
     codes = np.repeat([names.index(name) for name, _ in config.categories], config.objects_per_category)
     lengths = np.repeat(np.array([length for _, length in config.categories], dtype=np.float64),
@@ -105,7 +108,6 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     return SyntheticScene(
         config=config,
         w_star=w_star,
-        categories=cats,
         lengths=lengths,
         depths=z,
         features=features,

@@ -87,6 +87,8 @@ def cmd_threshold(args) -> int:
     print(f"sigma_l1={reports.fmt(result.sigma_l1)}")
     print(f"sigma_c={reports.fmt(result.sigma_c)}")
     print(f"residual={reports.fmt(result.solver_residual)} iterations={result.iterations}")
+    row = [result.length, result.sigma_m, result.sigma_l1, result.sigma_c, result.solver_residual, result.iterations]
+    _write_report(args, ["length", "sigma_m", "sigma_l1", "sigma_c", "residual", "iterations"], [row])
     return EXIT_OK
 
 
@@ -177,12 +179,17 @@ def cmd_theorem1(args) -> int:
     return EXIT_OK
 
 
+def _require_scores(lines: boxio.BoxLines, path, fault: str) -> None:
+    """Raise naming the frame of the first unscored box in file order, as ``frame 'F' <fault>``."""
+    unscored = np.flatnonzero(np.isnan(lines.boxes.scores))
+    if len(unscored):
+        frame = lines.frame_names[lines.frame_codes[unscored[0]]]
+        raise boxio.BoxFormatError(path, None, f"frame {frame!r} {fault}")
+
+
 def _frames_from_files(pred_path, gt_path) -> list[FrameSet]:
     preds, gts = boxio.read_box_lines(pred_path), boxio.read_box_lines(gt_path)
-    unscored = np.isnan(preds.boxes.scores)
-    if unscored.any():
-        frame = preds.frame_names[preds.frame_codes[unscored].min()]
-        raise boxio.BoxFormatError(pred_path, None, f"frame {frame!r} has an unscored prediction")
+    _require_scores(preds, pred_path, "has an unscored prediction")
     if not len(preds) and not len(gts):
         raise boxio.BoxFormatError(f"{pred_path}, {gt_path}", None, "no boxes to evaluate")
     pred_frames, gt_frames = preds.by_frame(), gts.by_frame()
@@ -227,10 +234,7 @@ def cmd_eval(args) -> int:
 def cmd_nms(args) -> int:
     metrics.check_ranges(radius=args.radius)
     lines = boxio.read_box_lines(args.input)
-    unscored = np.flatnonzero(np.isnan(lines.boxes.scores))
-    if len(unscored):
-        frame = lines.frame_names[lines.frame_codes[unscored[0]]]
-        raise boxio.BoxFormatError(args.input, None, f"frame {frame!r} has an unscored box; NMS requires scores")
+    _require_scores(lines, args.input, "has an unscored box; NMS requires scores")
     kept = lines.take(metrics.center_nms_rows(lines.frame_codes, lines.boxes, args.radius))
     _write(boxio.write_box_lines, kept, args.out)
     print(f"kept {len(kept)} of {len(lines)} boxes")
@@ -359,7 +363,7 @@ def _load_config(sub_parser: argparse.ArgumentParser, argv: list[str]) -> tuple[
         return EXIT_OK, []
     try:
         config = json.loads(boxio.read_text(path))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         return _error(f"cannot read --config: {exc}", EXIT_INPUT_PARSE), []
     if not isinstance(config, dict):
         return _error("--config must hold a JSON object", EXIT_INPUT_PARSE), []

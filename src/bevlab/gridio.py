@@ -63,6 +63,14 @@ def _cells(data: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _grid(path, rows: int, cols: int, extent, cells: np.ndarray) -> BevGrid:
+    """The grid read from ``path``; ``BevGrid``'s value faults (no cells, a bad extent or cell) name the file."""
+    try:
+        return BevGrid(rows, cols, extent, cells)
+    except ValueError as exc:
+        raise BoxFormatError(path, None, str(exc)) from None
+
+
 def write_grid_binary(grid: BevGrid, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, grid.rows, grid.cols, *grid.extent))
@@ -83,7 +91,7 @@ def read_grid_binary(path) -> BevGrid:
         if stored > rows * cols * 4:
             raise BoxFormatError(path, None, "trailing bytes after the grid payload")
         data = np.frombuffer(fh.read(stored), dtype="<f4")
-    return BevGrid(rows, cols, (x0, x1, z0, z1), _cells(data.reshape(rows, cols)))
+    return _grid(path, rows, cols, (x0, x1, z0, z1), _cells(data.reshape(rows, cols)))
 
 
 def write_grid_csv(grid: BevGrid, path) -> None:
@@ -131,7 +139,7 @@ def read_grid_csv(path) -> BevGrid:
     if not rows:
         raise BoxFormatError(path, reader.line_num + 1, "no grid rows after the extent header")
     cells = _cells(np.array(rows, dtype=np.float64))
-    return BevGrid(cells.shape[0], cells.shape[1], extent, cells)
+    return _grid(path, cells.shape[0], cells.shape[1], extent, cells)
 
 
 def write_grid(grid: BevGrid, path) -> None:

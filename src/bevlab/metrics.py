@@ -150,8 +150,8 @@ def _window_pairs(a_key: np.ndarray, a_lo: np.ndarray, a_hi: np.ndarray, b_key: 
 
 def _stack(arrays: Sequence[BoxArray], index: Mapping[str, int]):
     """Values, category codes (in ``index``) and scores of several box
-    arrays, concatenated."""
-    codes = [np.array([index[n] for n in a.names], dtype=np.intp)[a.codes] for a in arrays if len(a)]
+    arrays, concatenated.  A name no box has may be missing from ``index``."""
+    codes = [np.array([index.get(n, -1) for n in a.names], dtype=np.intp)[a.codes] for a in arrays if len(a)]
     return (
         np.concatenate([a.values for a in arrays]),
         np.concatenate(codes) if codes else np.zeros(0, dtype=np.intp),
@@ -169,21 +169,18 @@ class _Pairs:
         twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
         if twin is None:
             raise ValueError("iou_fn must have a pairwise twin, as iou3d and bev_iou have")
-        names = sorted({n for f in frames for a in (f.pred_boxes, f.gt_boxes) for n in a.names})
-        index = {n: k for k, n in enumerate(names)}
-        preds, pred_cat, scores = _stack([f.pred_boxes for f in frames], index)
-        gts, gt_cat, _ = _stack([f.gt_boxes for f in frames], index)
-        used = np.flatnonzero(np.bincount(np.concatenate([pred_cat, gt_cat]), minlength=len(names)))
-        recode = np.zeros(len(names), dtype=np.intp)
-        recode[used] = np.arange(len(used))
-        self.categories = tuple(names[k] for k in used.tolist())
+        # the categories some box has, sorted: a frame's box arrays may name more, such as every one of its file
+        self.categories = tuple(sorted({a.names[k] for f in frames for a in (f.pred_boxes, f.gt_boxes)
+                                        for k in np.flatnonzero(np.bincount(a.codes, minlength=len(a.names)))}))
+        index = {n: k for k, n in enumerate(self.categories)}
+        preds, self.pred_cat, scores = _stack([f.pred_boxes for f in frames], index)
+        gts, self.gt_cat, _ = _stack([f.gt_boxes for f in frames], index)
         self.preds, self.gts, self.scores = preds, gts, scores
-        self.pred_cat, self.gt_cat = recode[pred_cat], recode[gt_cat]
         # visiting order: descending score, ties in input order (frame by frame)
         self.order = np.argsort(-scores, kind="stable")
         self.rank = np.empty(len(scores), dtype=np.intp)
         self.rank[self.order] = np.arange(len(scores))
-        n_cat = max(len(used), 1)
+        n_cat = max(len(self.categories), 1)
         pred_group = np.repeat(np.arange(len(frames)), [len(f.pred_boxes) for f in frames]) * n_cat + self.pred_cat
         gt_group = np.repeat(np.arange(len(frames)), [len(f.gt_boxes) for f in frames]) * n_cat + self.gt_cat
         pred_reach = 0.5 * np.hypot(preds[:, 3], preds[:, 4])

@@ -245,7 +245,6 @@ class SgdConfig:
 class TrialResult:
     final_weight: np.ndarray
     deviation_sq: float
-    trial_index: int
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,7 @@ def run_trial(config: SgdConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial of T SGD steps and report the squared deviation
     of the final weight from the optimum."""
     w, dev_sq = _simulate(config, range(trial_index, trial_index + 1))
-    return TrialResult(final_weight=w[0], deviation_sq=float(dev_sq[0]), trial_index=trial_index)
+    return TrialResult(final_weight=w[0], deviation_sq=float(dev_sq[0]))
 
 
 def _variance(x: np.ndarray) -> float:

@@ -64,13 +64,6 @@ class TestVariance:
         assert text.startswith("# bevlab v")
         assert "# config:" in text
 
-    def test_output_dir_missing_is_io_error(self, tmp_path, capsys):
-        code = main(
-            ["variance", "--loss", "l1", "--sigma", "1", "--samples", "1000",
-             "--out", str(tmp_path / "no" / "dir" / "x.csv")]
-        )
-        assert code == EXIT_OUTPUT_IO
-
 
 class TestThreshold:
     def test_length_four(self, capsys):
@@ -97,6 +90,17 @@ class TestThreshold:
     def test_output_is_pinned(self, length, printed, capsys):
         assert main(["threshold", "--length", length]) == EXIT_OK
         assert capsys.readouterr().out == printed.replace("|", "\n") + "\n"
+
+    def test_out_writes_its_report(self, tmp_path, capsys):
+        # a one-row CSV as variance writes it: the version, the config echo, the header and the row
+        out = tmp_path / "t.csv"
+        assert main(["threshold", "--length", "4", "--deterministic", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "length=4\nsigma_m=0.25\nsigma_l1=0\nsigma_c=0.25\n" \
+                                          "residual=2.06501483e-14 iterations=40\n"
+        assert out.read_bytes().decode() == (
+            f"# bevlab v{bevlab.__version__}\n"
+            '# config: {"command": "threshold", "deterministic": true, "length": 4.0, "seed": 0}\n'
+            "length,sigma_m,sigma_l1,sigma_c,residual,iterations\r\n4,0.25,0,0.25,2.06501483e-14,40\r\n")
 
     @pytest.mark.parametrize("length,sigma_m", [("1e-12", "9274.98795"), ("1e7", "1e-07")])
     def test_extreme_length_ends(self, length, sigma_m, capsys):
@@ -317,9 +321,8 @@ class TestNms:
 
 
 class TestUnscoredFrame:
-    """The frame an unscored-box error names: the frame of the first such
-    box in the file for nms; for eval, the first frame, in order of first
-    appearance, holding one."""
+    """The frame an unscored-box error names, for nms and eval alike: the
+    frame of the first such box in the file."""
 
     def _write(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
@@ -334,7 +337,7 @@ class TestUnscoredFrame:
     def test_eval(self, tmp_path, capsys):
         path = self._write(tmp_path)
         assert main(["eval", "--pred", path, "--gt", path]) == EXIT_INPUT_PARSE
-        assert f"{path}: frame 'A' has an unscored prediction" in capsys.readouterr().err
+        assert f"{path}: frame 'B' has an unscored prediction" in capsys.readouterr().err
 
 
 class TestRasterize:
@@ -688,6 +691,24 @@ def range_probe_files(probe_files):
             "missing_grids_csv": str(directory / "missing_grids.csv")}
 
 
+# every writer: each CSV report, the nms kept file and rasterize's grids into a directory that does not exist, and
+# the sweep SVG onto a directory beside a CSV that can be written, since the SVG always lies where its CSV does
+WRITER_PROBES = {
+    "variance": "variance --loss l1 --sigma 1 --samples 1000 --out {missing}/x.csv",
+    "threshold": "threshold --length 4 --out {missing}/x.csv",
+    "sweep": "sweep --lengths 12 --sigmas 0.5 --losses l1 --trials 2 --steps 5 --dim 2 --out {missing}/x.csv",
+    "sweep-svg": "sweep --lengths 12 --sigmas 0.5 --losses l1 --trials 2 --steps 5 --dim 2 --format csv+svg "
+                 "--out {dir}/plot.csv",
+    "sgd": "sgd --loss l1 --sigma 0.5 --trials 2 --steps 5 --dim 2 --out {missing}/x.csv",
+    "theorem1": "theorem1 --length 4 --sigma 0.5 --seeds 1 --objects 20 --steps 20 --dim 2 --out {missing}/x.csv",
+    "eval": "eval --pred {pred_jsonl} --gt {gt_jsonl} --out {missing}/x.csv",
+    "seg-iou": "seg-iou --pairs {pairs_csv} --out {missing}/x.csv",
+    "nms": "nms --input {pred_jsonl} --out {missing}/x.jsonl",
+    "rasterize-bevg": "rasterize --input {gt_jsonl} --rows 4 --cols 4 --extent=-5,5,0,50 --out {missing}/x.bevg",
+    "rasterize-csv": "rasterize --input {gt_jsonl} --rows 4 --cols 4 --extent=-5,5,0,50 --out {missing}/x.csv",
+}
+
+
 # a grid file seg-iou cannot use: exit 4, naming the file and, in a CSV, the line
 BAD_GRIDS = {
     # a header claiming (2^32 - 1)^2 cells is rejected before any read of that size
@@ -773,6 +794,16 @@ class TestBoundary:
         run_probe("seg-iou --pairs {pairs_csv} --threshold 1", EXIT_OK, "mean_foreground=nan", range_probe_files,
                   capsys)
 
+    @pytest.mark.parametrize("command", WRITER_PROBES.values(), ids=WRITER_PROBES.keys())
+    def test_output_dir_missing_is_io_error(self, command, range_probe_files, capsys):
+        # main's rule: every output goes through _write, so its OSError exits 3, not 4
+        directory = Path(range_probe_files["dir"])
+        (directory / "plot.svg").mkdir()
+        argv = command.format(missing=directory / "no" / "dir", **range_probe_files).split()
+        assert main(argv) == EXIT_OUTPUT_IO
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert (directory / "plot.csv").exists() == command.endswith("plot.csv")
+
     def test_grid_with_trailing_bytes_is_input_error(self, range_probe_files, capsys):
         assert main(["seg-iou", "--pairs", range_probe_files["trailing_csv"]]) == EXIT_INPUT_PARSE
         err = capsys.readouterr().err
@@ -810,7 +841,7 @@ class TestBoundary:
         grid.write_bytes(struct.pack("<4sII4d", b"BEVG", 2**32 - 1, 0, 0.0, 1.0, 0.0, 1.0))
         pairs.write_text(f"car,{grid},{grid}\n")
         assert main(["seg-iou", "--pairs", str(pairs)]) == EXIT_INPUT_PARSE
-        assert capsys.readouterr().err == f"error: {pairs}:1: rows and cols must be >= 1\n"
+        assert capsys.readouterr().err == f"error: {pairs}:1: {grid}: rows and cols must be >= 1\n"
 
     @pytest.mark.parametrize("command", ["seg-iou --pairs {manifest}",
                                          "eval --pred {pred_jsonl} --gt {gt_jsonl} --groups {manifest}"],
@@ -923,7 +954,7 @@ def bad_grid_file(draw, fault: str):
             message = f"{{path}}:{2 + blank + spoilt}: could not convert string to float: {value!r}"
         elif fault == "csv cell":
             text[1 + blank + spoilt] = ",".join([repr(draw(BAD_CELLS))] * cols)
-            message = "cell values must be finite and lie in [0, 1]"
+            message = "{path}: cell values must be finite and lie in [0, 1]"
         else:
             text = text[:1 + blank]
             message = f"{{path}}:{2 + blank}: no grid rows after the extent header"
@@ -938,7 +969,7 @@ def bad_grid_file(draw, fault: str):
         return ".bevg", magic + header[4:] + payload, f"{{path}}: bad magic {magic!r}"
     if fault == "no cells":
         rows, cols = draw(st.sampled_from([(0, cols), (rows, 0), (0, 0), (0, 2**32 - 1), (2**32 - 1, 0)]))
-        return ".bevg", GRID_HEADER.pack(b"BEVG", rows, cols, *GRID_EXTENT), "rows and cols must be >= 1"
+        return ".bevg", GRID_HEADER.pack(b"BEVG", rows, cols, *GRID_EXTENT), "{path}: rows and cols must be >= 1"
     if fault == "short":
         cut = draw(st.integers(1, len(payload)))
         return ".bevg", header + payload[:-cut], "{path}: truncated grid payload"
@@ -946,7 +977,8 @@ def bad_grid_file(draw, fault: str):
         extra = draw(st.binary(min_size=1, max_size=9))
         return ".bevg", header + payload + extra, "{path}: trailing bytes after the grid payload"
     flat[draw(st.integers(0, len(flat) - 1))] = draw(BAD_CELLS)
-    return ".bevg", header + struct.pack(f"<{len(flat)}f", *flat), "cell values must be finite and lie in [0, 1]"
+    message = "{path}: cell values must be finite and lie in [0, 1]"
+    return ".bevg", header + struct.pack(f"<{len(flat)}f", *flat), message
 
 
 def run_main(argv) -> tuple[int, str]:

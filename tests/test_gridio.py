@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bevlab
-from bevlab import gridio
+from bevlab import boxio, gridio
 from bevlab.geometry import BevGrid, Box3D, rasterize
 
 EXTENT = (-50.0, 50.0, 0.0, 100.0)
@@ -136,7 +136,7 @@ class TestErrorsKeepTheirMessages:
             lines = ["# extent," + ",".join(map(repr, EXTENT))] + ["0,0,0"] * 5
             lines[4] = f"0,{value!r},0"
             path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"^cell values must be finite and lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: cell values must be finite and lie in [0, 1]')}$"):
             gridio.read_grid(path)
 
     @pytest.mark.parametrize("cut,message",
@@ -163,7 +163,27 @@ class TestErrorsKeepTheirMessages:
         path.write_bytes(HEADER.pack(b"BEVG", rows, cols, *EXTENT))
         done = run_bevlab(ZERO_SIZED, path)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "rows and cols must be >= 1\n"
+        assert done.stdout == f"{path}: rows and cols must be >= 1\n"
+
+    @pytest.mark.parametrize("suffix,rows,extent,cell,message", [
+        (".bevg", 0, EXTENT, 0.0, "rows and cols must be >= 1"),
+        (".bevg", 2, (0.0, 0.0, 0.0, 1.0), 0.0, "extent must be finite and non-degenerate"),
+        (".csv", 2, (0.0, 0.0, 0.0, 1.0), 0.0, "extent must be finite and non-degenerate"),
+        (".bevg", 2, EXTENT, np.nan, "cell values must be finite and lie in [0, 1]"),
+        (".csv", 2, EXTENT, np.nan, "cell values must be finite and lie in [0, 1]"),
+    ])
+    @pytest.mark.parametrize("generic", [True, False], ids=["read_grid", "format_reader"])
+    def test_value_faults_name_the_file(self, suffix, rows, extent, cell, message, generic, tmp_path):
+        # BevGrid's own checks, raised as the one input-fault type: the file, and no line
+        path = tmp_path / f"grid{suffix}"
+        if suffix == ".bevg":
+            path.write_bytes(HEADER.pack(b"BEVG", rows, 3, *extent) + np.full((rows, 3), cell, "<f4").tobytes())
+        else:
+            path.write_text(f"# extent,{','.join(map(repr, extent))}\n" + f"0,{cell!r},0\n" * rows)
+        reader = gridio.read_grid if generic else gridio.read_grid_binary if suffix == ".bevg" else gridio.read_grid_csv
+        with pytest.raises(boxio.BoxFormatError) as exc:
+            reader(path)
+        assert (str(exc.value), exc.value.path, exc.value.line_no) == (f"{path}: {message}", path, None)
 
 
 def run_bevlab(script: str, *args) -> subprocess.CompletedProcess:
