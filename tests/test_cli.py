@@ -905,17 +905,24 @@ def flag(name, values) -> str:
 
 @st.composite
 def fuzzed_argv(draw):
-    """One command line; at most one of its int flags lies past 2**64, so most runs get to work."""
-    command = draw(st.sampled_from(["variance", "sgd", "sweep", "threshold"]))
+    """One command line; at most one of its int flags lies past 2**64, so most runs get to work.
+    ``theorem1``'s ``--seeds`` and ``--objects`` size its work alone, so they stay small."""
+    command = draw(st.sampled_from(["variance", "sgd", "sweep", "threshold", "theorem1"]))
     if command == "threshold":
         return [command, flag("length", draw(FUZZ_FLOATS))]
     ints = {"samples": draw(st.integers(2, 4))} if command == "variance" else {
-        "trials": draw(st.integers(1, 4)), "steps": draw(st.integers(1, 4)), "dim": draw(st.integers(1, 3))}
+        "steps": draw(st.integers(1, 4)), "dim": draw(st.integers(1, 3))}
+    if command in ("sgd", "sweep"):
+        ints["trials"] = draw(st.integers(1, 4))
     ints["seed"] = draw(st.integers(0, 3))
     huge = draw(st.sampled_from([None, None, *ints]))
     if huge is not None:
         ints[huge] = draw(st.integers(2**64, 2**65))
     argv = [command] + [flag(name, value) for name, value in ints.items()]
+    if command == "theorem1":
+        return argv + [flag("seeds", draw(st.integers(1, 2))), flag("objects", draw(st.integers(1, 8))),
+                       flag("length", draw(st.lists(FUZZ_FLOATS, min_size=1, max_size=2))),
+                       flag("sigma", draw(FUZZ_FLOATS))]
     if command != "variance":
         argv.append(flag("mode", draw(st.sampled_from(["idealized", "literal"]))))
     if command == "sweep":
@@ -923,6 +930,46 @@ def fuzzed_argv(draw):
                        (("lengths", FUZZ_FLOATS), ("sigmas", FUZZ_FLOATS), ("losses", FUZZ_LOSSES))]
     return argv + [flag("loss", draw(FUZZ_LOSSES)),
                    *(flag(name, draw(FUZZ_FLOATS)) for name in ("sigma", "length", "beta"))]
+
+
+# a --config entry's value: any JSON value, of the flag's type or not
+CONFIG_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 2**65), FUZZ_FLOATS, FUZZ_LOSSES,
+              st.sampled_from(["", "4,4", "idealized", "literal", "x"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "length"]), inner, max_size=2),
+    max_leaves=4)
+# per command: valid values of its required flags, the other keys a file may set, and the work-sizing
+# flags, kept small on the command line, where they win over the file
+CONFIG_COMMANDS = {
+    "threshold": ({"length": 4}, "seed", ["--seed=0"]),
+    "variance": ({"loss": "l1", "sigma": 0.5}, "length,beta,seed,deterministic", ["--samples=3"]),
+    "sgd": ({"loss": "l2", "sigma": 0.5}, "length,beta,mode,seed,deterministic",
+            ["--trials=2", "--steps=3", "--dim=2"]),
+    "theorem1": ({"length": [4], "sigma": 0.5}, "seed,deterministic",
+                 ["--seeds=1", "--objects=4", "--steps=3", "--dim=2"]),
+}
+
+
+@st.composite
+def fuzzed_config(draw):
+    """(argv, config bytes, whether the bytes hold a JSON object): the command's valid required values, some
+    keys (an unknown one too) set to any value, then whole, truncated, nested deep in lists, replaced by
+    another JSON value, or not UTF-8."""
+    command = draw(st.sampled_from(sorted(CONFIG_COMMANDS)))
+    valid, keys, flags = CONFIG_COMMANDS[command]
+    overrides = st.dictionaries(st.sampled_from([*valid, *keys.split(","), "samples", "bogus"]), CONFIG_VALUES,
+                                max_size=2)
+    config = {**valid, **draw(st.just({}) | overrides)}
+    text, form = json.dumps(config), draw(st.sampled_from(["whole", "truncated", "nested", "other", "bytes"]))
+    if form == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif form == "nested":
+        depth = draw(st.sampled_from([1, 50, 100_000]))
+        text = "[" * depth + text + "]" * draw(st.sampled_from([0, depth]))
+    elif form == "other":
+        text = json.dumps(draw(CONFIG_VALUES.filter(lambda v: not isinstance(v, dict))))
+    raw = text.encode() if form != "bytes" else b"{\"length\": \"\xff\"}"
+    return [command, *flags], raw, form == "whole"
 
 
 GRID_HEADER = struct.Struct("<4sII4d")
@@ -992,7 +1039,7 @@ class TestFuzz:
     @given(fuzzed_argv())
     @example(["variance", "--loss=l2", "--sigma=1e100", "--samples=1000"])
     @example(["sgd", "--loss=l2", "--sigma=1e150", "--trials=2", "--steps=5"])
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_documented_exit_and_finite_output(self, argv):
         """Every run exits 0, 2, 3 or 4 with no exception escaping, and a run that exits 0
         prints no inf or nan: no finite flag value asks for one."""
@@ -1005,6 +1052,21 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_FLAGS, EXIT_OUTPUT_IO, EXIT_INPUT_PARSE), argv
         if code == EXIT_OK:
             assert not re.search(r"\b(inf|nan)\b", out.getvalue()), (argv, out.getvalue())
+
+    @given(fuzzed_config())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_config_files_exit_documented(self, case):
+        """A --config file that holds no JSON object exits 4, whatever is wrong with it; one that does
+        exits 0, or 2 for a key or value its flags reject.  No exception escapes."""
+        argv, raw, is_object = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "config.json")
+            config.write_bytes(raw)
+            try:
+                code, err = run_main([argv[0], "--config", str(config), *argv[1:]])
+            except SystemExit as exc:  # argparse's error path
+                code, err = exc.code, ""
+        assert code in ((EXIT_OK, EXIT_FLAGS) if is_object else (EXIT_INPUT_PARSE,)), (argv, raw[:200], err)
 
     @pytest.mark.parametrize("fault", GRID_FAULTS)
     @given(data=st.data())
