@@ -3,7 +3,10 @@
 One JSON object per line: ``frame`` (string), ``category`` (string),
 ``x y z l w h yaw`` (numbers, meters/radians) and optional ``score`` in
 [0, 1] -- its absence marks a ground-truth box.  Unknown keys are ignored;
-malformed lines raise :class:`BoxFormatError` carrying the line number.
+malformed lines raise :class:`BoxFormatError` carrying the line number.  It is
+bevlab's one input-fault type: every reader (box files, ``gridio``'s grids,
+the CLI's manifests and ``--config``) raises it for a fault of what it read,
+and the CLI exits 4 on it.
 
 A file is read into columns (:class:`BoxLines`) and written from them.
 A read decodes all lines and checks the columns whole on one fast path;
@@ -34,6 +37,9 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 class BoxFormatError(ValueError):
+    """A fault of an input file, as ``path:line_no: message``, or ``path: message`` (``line_no`` None) for a
+    fault of the whole file.  A ValueError, so callers that catch one keep working."""
+
     def __init__(self, path, line_no: int | None, message: str):
         super().__init__(f"{path}: {message}" if line_no is None else f"{path}:{line_no}: {message}")
         self.path = path

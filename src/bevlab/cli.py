@@ -1,9 +1,12 @@
 """Command-line front-end tying the modules together.
 
 Exit codes: 0 success, 2 flag errors, 3 output I/O failures, 4 input
-failures (a file that cannot be read or parsed).  Each entry of the JSON object
-named by --config is read as its flag given that text (a list's items joined by
-commas, true/false switching an on/off flag); explicit flags win.
+failures: a file that cannot be read or parsed.  Every fault of a box, grid or
+manifest file, and a --config byte that does not decode, is one
+``boxio.BoxFormatError`` naming the file and, where there is one, the line.
+Each entry of the JSON object named by --config is read as its flag given that
+text (a list's items joined by commas, true/false switching an on/off flag);
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -93,15 +96,8 @@ def cmd_threshold(args) -> int:
 
 
 def _ensemble_config(args, loss: LossKind, sigma: float) -> sgd.SgdConfig:
-    return sgd.SgdConfig(
-        dim=args.dim,
-        sigma=sigma,
-        loss=loss,
-        steps=args.steps,
-        trials=args.trials,
-        mode=args.mode,
-        base_seed=args.seed,
-    )
+    return sgd.SgdConfig(dim=args.dim, sigma=sigma, loss=loss, steps=args.steps, trials=args.trials, mode=args.mode,
+                         base_seed=args.seed)
 
 
 def cmd_sweep(args) -> int:
@@ -142,18 +138,8 @@ def cmd_sgd(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
-    template = sgd.SgdConfig(
-        dim=args.dim,
-        sigma=args.sigma,
-        loss=LossKind.l1(),
-        steps=args.steps,
-        trials=1,
-        mode="idealized",
-        base_seed=args.seed,
-    )
-    report = bench.theorem1_experiment(
-        args.length, args.sigma, template, args.seeds, objects_per_category=args.objects
-    )
+    template = sgd.SgdConfig(dim=args.dim, sigma=args.sigma, loss=LossKind.l1(), steps=args.steps, base_seed=args.seed)
+    report = bench.theorem1_experiment(args.length, args.sigma, template, args.seeds, objects_per_category=args.objects)
     comments = []
     for ell in args.length:
         flag = "met" if report.precondition_met[ell] else "NOT met"
@@ -254,12 +240,12 @@ def cmd_seg_iou(args) -> int:
     pairs: dict[str, list] = {}
     for line_no, (cat, pred_path, gt_path) in _read_manifest(args.pairs, "category,pred_path,gt_path"):
         try:
-            pred = gridio.read_grid(pred_path)
-            gt = gridio.read_grid(gt_path)
-            if pred.cells.shape != gt.cells.shape:
-                raise ValueError(f"grid shapes differ: {pred.cells.shape} vs {gt.cells.shape}")
-        except (OSError, ValueError) as exc:
+            pred, gt = gridio.read_grid(pred_path), gridio.read_grid(gt_path)
+        except (OSError, ValueError) as exc:  # each grid fault under the manifest line that names the grid
             raise boxio.BoxFormatError(args.pairs, line_no, str(exc)) from exc
+        if pred.cells.shape != gt.cells.shape:
+            shapes = f"{pred.cells.shape} vs {gt.cells.shape}"
+            raise boxio.BoxFormatError(args.pairs, line_no, f"grid shapes differ: {shapes}")
         pairs.setdefault(cat, []).append((pred, gt))
     report = metrics.seg_miou(pairs, binarize_threshold=args.threshold)
     table = [[cat, iou] for cat, iou in sorted(report.per_category.items())]

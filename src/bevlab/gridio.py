@@ -4,6 +4,10 @@ Binary layout, little-endian: magic ``BEVG``, u32 rows, u32 cols, four f64
 extent values (x_min, x_max, z_min, z_max), then rows*cols f32 cells in
 row-major order.
 
+Every fault of a grid file raises ``boxio.BoxFormatError`` naming the file:
+with the line for a CSV cell, row or field, without one for a header, a
+payload size, or a ``BevGrid`` value fault (no cells, a bad extent or cell).
+
 A grid read from either format starts as zero cells in a private anonymous
 mapping of its own (``geometry.zero_cells``), and only the runs of rows that
 hold a nonzero bit are copied in, bit for bit as ``astype(np.float64)``
