@@ -169,7 +169,7 @@ class _Pairs:
         twin = getattr(inspect.unwrap(iou_fn), "pairwise", None)
         if twin is None:
             raise ValueError("iou_fn must have a pairwise twin, as iou3d and bev_iou have")
-        # the categories some box has, sorted: a frame's box arrays may name more, such as every one of its file
+        # the categories some box has, sorted; a box array may name more (each frame of a file keeps all its names)
         self.categories = tuple(sorted({a.names[k] for f in frames for a in (f.pred_boxes, f.gt_boxes)
                                         for k in np.flatnonzero(np.bincount(a.codes, minlength=len(a.names)))}))
         index = {n: k for k, n in enumerate(self.categories)}
