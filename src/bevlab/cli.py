@@ -241,7 +241,7 @@ def cmd_seg_iou(args) -> int:
     for line_no, (cat, pred_path, gt_path) in _read_manifest(args.pairs, "category,pred_path,gt_path"):
         try:
             pred, gt = gridio.read_grid(pred_path), gridio.read_grid(gt_path)
-        except (OSError, ValueError) as exc:  # each grid fault under the manifest line that names the grid
+        except (OSError, boxio.BoxFormatError) as exc:  # each grid fault under the manifest line that names the grid
             raise boxio.BoxFormatError(args.pairs, line_no, str(exc)) from exc
         if pred.cells.shape != gt.cells.shape:
             shapes = f"{pred.cells.shape} vs {gt.cells.shape}"
