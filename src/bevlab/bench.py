@@ -15,6 +15,7 @@ footprint can reach, which on disjoint rays is the one on its own ray.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -58,8 +59,8 @@ class SceneConfig:
         mid = 0.5 * (z_min + z_max)  # the norm of w_star, whose square generate_scene divides by
         if not (np.inf > z_max > z_min > 0 and np.inf > mid * mid):
             raise ValueError("depth_range must satisfy z_max > z_min > 0 and be finite, with a finite midpoint squared")
-        if self.objects_per_category < 1 or self.feature_dim < 1:
-            raise ValueError("objects_per_category and feature_dim must be >= 1")
+        if not all(1 <= n <= sys.maxsize for n in (self.objects_per_category, self.feature_dim)):
+            raise ValueError(f"objects_per_category and feature_dim must be >= 1 and at most {sys.maxsize}")
         if not all(0 < length < np.inf for _, length in self.categories):
             raise ValueError("object lengths must be > 0 and finite")
 

@@ -8,6 +8,12 @@ three README scripts at small sizes, and bad box, grid, manifest and config
 files.  Every call runs in one temporary directory with relative paths, so a
 listing does not depend on where the checkout or that directory lies.
 
+The listing is committed as ``tests/cli_corpus.txt``, and
+``tests/test_cli_corpus.py`` rebuilds it and diffs it against that file.  A
+change that moves an output on purpose rewrites the file in the same commit::
+
+    python tests/cli_corpus.py > tests/cli_corpus.txt
+
 Compare two checkouts by their listings::
 
     python tests/cli_corpus.py > after.txt
@@ -153,13 +159,19 @@ def run(call: str, directory: Path) -> str:
                      f"stderr={digest(done.stderr)}", *written])
 
 
-def main() -> None:
+def listing():
+    """Yield the listing's lines, one per call, as each call ends."""
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         for name, content in INPUTS.items():
             (directory / name).write_bytes(content if isinstance(content, bytes) else content.encode())
         for call in CALLS:
-            print(run(call, directory), flush=True)
+            yield run(call, directory)
+
+
+def main() -> None:
+    for line in listing():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

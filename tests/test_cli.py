@@ -756,6 +756,12 @@ class TestBoundary:
     def test_exit_code_and_message(self, command, code, message, probe_files, capsys):
         run_probe(command, code, message, probe_files, capsys)
 
+    def test_object_count_past_an_index_is_a_flag_error(self, probe_files, capsys):
+        # not an OverflowError from np.repeat
+        command = "theorem1 --length 4 --sigma 0.5 --seeds 1 --objects 18446744073709551616 --steps 3 --dim 2"
+        run_probe(command, EXIT_FLAGS, "objects_per_category and feature_dim must be >= 1 and at most",
+                  probe_files, capsys)
+
     @pytest.mark.parametrize("command,code,message", EMPTY_LIST_PROBES, ids=[p[0].split()[0] for p in EMPTY_LIST_PROBES])
     def test_empty_list_flag(self, command, code, message, probe_files, capsys):
         run_probe(command, code, message, probe_files, capsys)

@@ -30,6 +30,7 @@ from bevlab.geometry import (
 )
 from bevlab import geometry, gridio
 from bevlab.geometry import _AXIS_EPS, _footprint_intersection_area, _footprint_overlaps
+from test_sgd import traced_peak
 
 
 def make_box(x=0.0, z=0.0, l=4.0, w=2.0, h=1.5, yaw=0.0, y=0.0, **kw):
@@ -450,8 +451,8 @@ ODD_GRID = BevGrid(rows=37, cols=23, extent=(-7.3, 11.1, 2.2, 40.7))  # cell sid
 class TestRasterizeMatchesReference:
     def assert_same(self, boxes, template=ODD_GRID):
         got = rasterize(boxes, template).cells
-        assert np.array_equal(got, reference_rasterize(boxes, template).cells)
-        assert np.array_equal(rasterize(BoxArray.from_boxes(boxes), template).cells, got)
+        assert got.tobytes() == reference_rasterize(boxes, template).cells.tobytes()
+        assert rasterize(BoxArray.from_boxes(boxes), template).cells.tobytes() == got.tobytes()
         return got
 
     @pytest.mark.parametrize("count", [600, 3000])
@@ -569,6 +570,106 @@ class TestRasterizeMatchesReference:
         # 257 different windows over the same cells: a count kept in one byte would wrap to 1
         template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
         assert self.assert_same([make_box(x=0.25 + k / 1024, z=0.5, l=0.5, w=0.5) for k in range(257)], template).any()
+
+    # rotated boxes are sampled in bands: windows whose cell rows overlap share one mask
+
+    def test_rotated_windows_chain_into_one_band(self):
+        # each window overlaps the next one's rows but not the one after: one band of five
+        boxes = [make_box(x=-2.0 + 1.5 * k, z=8.0 + 5.0 * k, l=6.0, w=1.9, yaw=0.3 + 0.2 * k) for k in range(5)]
+        rows = [row_window(b, ODD_GRID) for b in boxes]
+        assert all(b[0] < a[1] <= c[0] for a, b, c in zip(rows, rows[1:], rows[2:]))
+        assert self.assert_same(boxes).any()
+        self.assert_same(boxes[::-1])
+        # a window inside a longer one does not end the band: the third shares rows with the first only
+        boxes = [make_box(x=0.0, z=20.0, l=14.0, w=2.5, yaw=0.1), make_box(x=3.0, z=16.0, l=2.0, w=1.0, yaw=0.6),
+                 make_box(x=0.5, z=27.0, l=4.5, w=1.9, yaw=0.8)]
+        (a0, a1), (b0, b1), (c0, c1) = (row_window(b, ODD_GRID) for b in boxes)
+        assert a0 < b0 < b1 < c0 < a1 < c1
+        self.assert_same(boxes)
+
+    @pytest.mark.parametrize("template", [ODD_GRID, BevGrid(rows=80, cols=60, extent=(-7.3, 11.1, 2.2, 40.7))],
+                             ids=["odd", "fine"])
+    @pytest.mark.parametrize("overlap", [0, 1], ids=["touching", "one-row"])
+    def test_rotated_bands_that_touch(self, overlap, template):
+        # the second window begins at the row where the first ends (two bands), or one row before it (one
+        # band); both footprints reach the rows where they meet, at the same columns
+        def cover(z, yaw):
+            box = make_box(x=0.0, z=z, yaw=yaw)
+            return box, row_window(box, template), rasterize([box], template).cells
+
+        zs = [15.0 + k / 64 for k in range(64 * 10)]
+        first, stop = next((box, stop) for box, (_, stop), cells in (cover(z, 0.02) for z in zs)
+                           if cells[stop - 1].any())
+        second = next(box for box, (start, _), cells in (cover(z, -0.02) for z in zs)
+                      if start == stop - overlap and cells[start].any())
+        assert self.assert_same([first, second, make_box(x=4.0, z=second.z, l=3.0, yaw=1.2)], template).any()
+
+    def test_rotated_stacked_copies(self):
+        rng = np.random.default_rng(61)
+        car = make_box(x=1.0, z=20.0, l=4.5, w=1.9, yaw=0.4)
+        jittered = [make_box(x=1.0 + float(rng.normal(0, 0.3)), z=20.0 + float(rng.normal(0, 0.3)), l=4.5, w=1.9,
+                             yaw=float(rng.uniform(-math.pi, math.pi))) for _ in range(50)]
+        for boxes in ([car] * 50, jittered, [car] * 50 + jittered):
+            assert self.assert_same(boxes).any()
+
+    def test_rotated_bands_partly_or_wholly_off_the_grid(self):
+        x_min, x_max, z_min, z_max = ODD_GRID.extent
+        for z in (z_min - 1.0, 20.0, z_max + 0.5):  # bands cut off at the first row, inside, and at the last row
+            boxes = [make_box(x=0.0, z=z, l=6.0, yaw=0.7), make_box(x=x_min - 1.5, z=z + 1.0, l=5.0, yaw=-0.4),
+                     make_box(x=x_min - 20.0, z=z, yaw=0.9), make_box(x=x_max + 1.0, z=z - 1.0, l=5.0, yaw=2.0),
+                     make_box(x=x_max + 20.0, z=z, yaw=0.9)]
+            assert self.assert_same(boxes).any()
+        off = [make_box(x=0.0, z=z_min - 20.0, yaw=0.3), make_box(x=0.0, z=z_max + 20.0, yaw=0.3),
+               make_box(x=x_min - 20.0, z=20.0, yaw=0.3)]
+        assert not self.assert_same(off).any()
+        assert self.assert_same(off + [make_box(x=1.0, z=20.0, yaw=0.3)]).any()
+
+    def test_rotated_mask_memory_follows_the_boxes(self):
+        # one car on 500x500 once took a 4 MB mask of the whole grid; the fresh grid's own cells are not counted
+        template = BevGrid(rows=500, cols=500, extent=(-50.0, 50.0, 0.0, 100.0))
+        car = BoxArray.from_boxes([make_box(x=1.0, z=20.0, l=4.5, w=1.9, yaw=0.4)])
+        peak = traced_peak(lambda: rasterize(car, template)) - traced_peak(template.like)
+        assert peak < 2 * 2**20, peak
+
+    # a cell's sweep stops once every span reaches its top or no later rectangle is live in it
+
+    def test_stacked_full_cells_stop_early(self):
+        template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
+        square = make_box(x=4.0, z=4.0, l=3.0, w=3.0)  # edges on cell lines: full cells, and rim cells it misses
+        self.assert_same([square] * 64, template)
+        self.assert_same([make_box(x=4.0 + k / 128, z=4.0 - k / 256, l=3.0, w=3.0) for k in range(64)], template)
+        # the first two rectangles fill the left half of cell (5, 5) and later ones the right half
+        left = [make_box(x=5.25, z=5.5 - k / 8, l=1.0 + k / 4, w=0.5) for k in range(2)]
+        right = [make_box(x=5.75, z=5.5, l=1.0, w=0.5)] * 6
+        assert self.assert_same(left + right, template)[5, 5] == 1.0
+        # in cell (2, 2) only the third of five rectangles (by lower z edge) is live after the first two;
+        # the last two end on the cell's left edge
+        late = [make_box(x=2.15, z=2.45, l=0.9, w=0.3), make_box(x=2.15, z=2.475, l=0.85, w=0.3),
+                make_box(x=2.65, z=2.55, l=0.7, w=0.3), make_box(x=1.5, z=2.75, l=0.5, w=1.0),
+                make_box(x=1.5, z=2.8, l=0.4, w=1.0)]
+        assert self.assert_same(late, template)[2, 2] > self.assert_same(late[:2], template)[2, 2]
+
+    def test_stacked_spans_that_never_reach_the_top(self):
+        template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
+        # tops inside a cell row, and a strip in x that no rectangle covers
+        boxes = [make_box(x=1.625, z=2.75, l=5.5, w=3.25)] * 30 + [make_box(x=5.375, z=2.75, l=5.5, w=3.25)] * 30
+        cells = self.assert_same(boxes, template)
+        assert 0.0 < cells[5, 3] < 1.0 and 0.0 < cells[2, 3] < 1.0
+        rng = np.random.default_rng(67)
+        for count in (20, 120):  # deep stacks over a few cells, edges on a 0.25 m lattice or not
+            x0, z0 = rng.integers(8, 20, (2, count)) / 4 + rng.choice([0.0, 0.01], (2, count))
+            x1, z1 = x0 + rng.integers(1, 12, count) / 4, z0 + rng.integers(1, 12, count) / 4
+            boxes = [make_box(x=0.5 * (a + b), z=0.5 * (c + d), w=b - a, l=d - c) for a, b, c, d in zip(x0, x1, z0, z1)]
+            self.assert_same(boxes, template)
+            self.assert_same(boxes)
+
+
+def row_window(box, grid):
+    """The cell rows [r0, r1) of a rotated box's supersampled window."""
+    s, c = math.sin(box.yaw), math.cos(box.yaw)
+    z_min, z_max = grid.extent[2:]
+    nz = 4 * grid.rows
+    return geometry._subsample_window(box.z, 0.5 * (box.l * abs(c) + box.w * abs(s)), z_min, (z_max - z_min) / nz, nz)
 
 
 def exact_union_in_cell(rects, cx0, cx1, cz0, cz1) -> Fraction:
