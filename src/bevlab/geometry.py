@@ -429,37 +429,30 @@ def _union_areas(x0, x1, z0, z1, cx0, cx1, cz0, cz1) -> np.ndarray:
     times its width, left to right.  A rectangle clipped away puts its edges
     on the cell's right edge, so its segments have width 0.0 and add 0.0,
     which is exact.  Cells run along the last axis, so that every NumPy
-    operation runs over many cells at once.  A cell is done once every span
-    reaches its top or no later rectangle is live in it, as none can then
-    open a gap or raise ``hi``: after 2, 4, 8, ... rectangles, while more are
-    left, the done cells are summed and dropped."""
+    operation runs over many cells at once."""
     x0, x1, z0, z1 = np.maximum(x0, cx0), np.minimum(x1, cx1), np.maximum(z0, cz0), np.minimum(z1, cz1)
     live = (x1 > x0) & (z1 > z0)
     edges = np.vstack([cx0, np.where(live, x0, cx1), np.where(live, x1, cx1), cx1])
     if len(x0) > 1:  # one rectangle's edges are in order already
         edges.sort(axis=0)
-    mid, width = 0.5 * (edges[:-1] + edges[1:]), edges[1:] - edges[:-1]
+    left, right = edges[:-1], edges[1:]
+    mid = 0.5 * (left + right)
+    # per rectangle, the segments whose midpoint lies on it: (segment, cell) each
+    covers = (live[r] & (x0[r] <= mid) & (mid <= x1[r]) for r in range(len(x0)))
     # the first rectangle starts the merged span where it covers a segment;
     # elsewhere the span is empty at the cell's lower edge, and adds 0.0
-    on = live[0] & (x0[0] <= mid) & (mid <= x1[0])
-    lo, hi, covered = np.where(on, z0[0], cz0), np.where(on, z1[0], cz0), 0.0
-    area, cells = np.empty(len(cx0)), np.arange(len(cx0))
-    for r in range(1, len(x0)):
-        on = live[r] & (x0[r] <= mid) & (mid <= x1[r])
+    on = next(covers)
+    lo, hi = np.where(on, z0[0], cz0), np.where(on, z1[0], cz0)
+    covered = 0.0
+    for r, on in enumerate(covers, 1):
         gap = on & (z0[r] > hi)
         covered = np.where(gap, covered + (hi - lo), covered)
         lo = np.where(gap, z0[r], lo)
         hi = np.where(on, np.maximum(hi, z1[r]), hi)
-        if (r + 1) & r == 0 and 2 * (r + 1) < len(x0):  # after 2, 4, 8, ... rectangles, while more are left
-            done = (hi == cz1).all(axis=0) | ~live[r + 1 :].any(axis=0)
-            if done.any():
-                area[cells[done]] = sum((covered[:, done] + (hi[:, done] - lo[:, done])) * width[:, done])
-                cells, cz1, x0, x1, z0, z1, live, mid, width, lo, hi, covered = (
-                    a[..., ~done] for a in (cells, cz1, x0, x1, z0, z1, live, mid, width, lo, hi, covered))
-    total = sum((covered + (hi - lo)) * width)
-    if len(cells) == len(area):  # no cell was dropped
-        return total
-    area[cells] = total
+    strips = (covered + (hi - lo)) * (right - left)
+    area = strips[0]
+    for strip in strips[1:]:
+        area = area + strip
     return area
 
 
@@ -550,9 +543,9 @@ def rasterize(boxes, template: BevGrid) -> BevGrid:
     are read as columns.  When every footprint is axis-aligned, each cell
     that a footprint's window of cells covers gets the exact area of the
     union of the footprints in it, all cells at once, grouped by how many
-    windows cover them; a cell's sweep stops once the cell is full.
-    Otherwise every footprint is sampled 4x4 per cell, in bands of overlapping
-    rows: mask memory is 16 bytes per cell of each band's rows.
+    windows cover them.  Otherwise every footprint is sampled 4x4 per cell,
+    in bands of overlapping rows: mask memory is 16 bytes per cell of each
+    band's rows.
     """
     grid = template.like()
     keys = boxes.values[:, _BEV_COLUMNS] if isinstance(boxes, BoxArray) else np.array([_bev_key(b) for b in boxes])

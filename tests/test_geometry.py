@@ -631,9 +631,10 @@ class TestRasterizeMatchesReference:
         peak = traced_peak(lambda: rasterize(car, template)) - traced_peak(template.like)
         assert peak < 2 * 2**20, peak
 
-    # a cell's sweep stops once every span reaches its top or no later rectangle is live in it
+    # deep stacks on the exact path: cells that the first rectangles fill, cells that only a late
+    # rectangle reaches, and cells whose spans never reach the top
 
-    def test_stacked_full_cells_stop_early(self):
+    def test_stacked_boxes_that_fill_cells(self):
         template = BevGrid(rows=10, cols=10, extent=(0.0, 10.0, 0.0, 10.0))
         square = make_box(x=4.0, z=4.0, l=3.0, w=3.0)  # edges on cell lines: full cells, and rim cells it misses
         self.assert_same([square] * 64, template)
