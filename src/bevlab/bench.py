@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Box3D, BoxArray, RayObject, interval_overlaps, ray_iou
+from .geometry import Box3D, BoxArray, RayObject, _codes, interval_overlaps, ray_iou
 from .losses import LossKind, NoiseModel, sigma_c
 from .metrics import ALL_BIN, FrameSet, evaluate
 from .sgd import SgdConfig, _rng, _seed, run_trial
@@ -45,7 +45,7 @@ _RAY_SPACING = 1000.0  # meters between rays; far beyond any box extent
 @dataclass(frozen=True)
 class SceneConfig:
     """A scene's categories, size, depth range and seed.  :func:`generate_scene`
-    does not read ``sigma``; it stays for callers that pass it."""
+    does not read ``sigma``; it stays because perfbench's theorem-1 check passes it."""
 
     categories: tuple[tuple[str, float], ...]  # (name, length)
     objects_per_category: int
@@ -97,8 +97,8 @@ def generate_scene(config: SceneConfig) -> SyntheticScene:
     direction /= np.linalg.norm(direction)
     w_star = direction * 0.5 * (z_min + z_max)
     n = len(config.categories) * config.objects_per_category
-    names = tuple(dict.fromkeys(name for name, _ in config.categories))  # a repeated name keeps its first code
-    codes = np.repeat([names.index(name) for name, _ in config.categories], config.objects_per_category)
+    codes, names = _codes([name for name, _ in config.categories])  # a repeated name keeps its first code
+    codes = np.repeat(codes, config.objects_per_category)
     lengths = np.repeat(np.array([length for _, length in config.categories], dtype=np.float64),
                         config.objects_per_category)
     h0 = rng.standard_normal((n, dim))
@@ -172,7 +172,6 @@ class TheoremReport:
     mean_ap25: dict[tuple[str, float], float]
     win_rate_vs_l1: dict[float, float]  # length -> fraction of seeds dice beats L1 at AP50
     win_rate_vs_l2: dict[float, float]
-    sigma: float
     sigma_c: dict[float, float]
     precondition_met: dict[float, bool]
 
@@ -206,7 +205,6 @@ def theorem1_experiment(
                     categories=((name, ell),),
                     objects_per_category=objects_per_category,
                     feature_dim=dim,
-                    sigma=sigma,
                     seed=scene_seed,
                 )
             )
@@ -217,7 +215,6 @@ def theorem1_experiment(
                     loss=loss,
                     sigma=sigma,
                     mode="idealized",
-                    trials=1,
                     w_star=scene.w_star,
                     w_init=scene.w_star.copy(),
                     base_seed=train_seed,
@@ -257,7 +254,6 @@ def theorem1_experiment(
         mean_ap25=mean_ap("ap25"),
         win_rate_vs_l1=dice_win_rate("l1"),
         win_rate_vs_l2=dice_win_rate("l2"),
-        sigma=sigma,
         sigma_c=sigma_c_map,
         precondition_met={ell: sigma >= sigma_c_map[ell] for ell in lengths},
     )

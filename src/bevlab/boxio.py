@@ -26,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .geometry import BoxArray, box_fault
+from .geometry import BoxArray, _codes, box_fault
 
 __all__ = ["BoxFormatError", "BoxLines", "read_box_lines", "read_text", "write_box_lines"]
 
@@ -67,12 +67,6 @@ class BoxLines:
         order = np.argsort(self.frame_codes, kind="stable")
         ends = np.cumsum(np.bincount(self.frame_codes, minlength=len(self.frame_names)))
         return {f: self.boxes.take(rows) for f, rows in zip(self.frame_names, np.split(order, ends[:-1])) if len(rows)}
-
-
-def _codes(labels) -> tuple[list[int], tuple[str, ...]]:
-    """Each label's index into the distinct labels, in order of first appearance."""
-    names = tuple(dict.fromkeys(labels))
-    return list(map({name: k for k, name in enumerate(names)}.__getitem__, labels)), names
 
 
 def _columns(lines: list[str]):

@@ -391,3 +391,8 @@ def main(argv=None) -> int:
         return _error(str(exc), EXIT_INPUT_PARSE)
     except ValueError as exc:
         sub_parser.error(str(exc))
+    except MemoryError:  # a size flag asked for more than the process may allocate
+        sizes = [flag for flag, kwargs in COMMANDS[args.command][2] if kwargs.get("type") is int]
+        if not sizes:
+            raise
+        sub_parser.error(f"out of memory; lower {', '.join(sizes)}")

@@ -96,6 +96,12 @@ def box_fault(values: np.ndarray, scores: np.ndarray) -> tuple[int, str] | None:
     return row, _VALUES_RULE if bad_values[row] else _SCORE_RULE
 
 
+def _codes(labels) -> tuple[list[int], tuple[str, ...]]:
+    """Each label's index into the distinct labels, in order of first appearance."""
+    names = tuple(dict.fromkeys(labels))
+    return list(map({name: k for k, name in enumerate(names)}.__getitem__, labels)), names
+
+
 class BoxArray:
     """Boxes as columns: ``values`` is (N, 7) float64 in Box3D field order
     (x, y, z, l, w, h, yaw), ``codes`` indexes ``names`` with each box's
@@ -127,11 +133,10 @@ class BoxArray:
 
     @classmethod
     def from_boxes(cls, boxes) -> "BoxArray":
-        index: dict[str, int] = {}
-        codes = [index.setdefault(b.category, len(index)) for b in boxes]
+        codes, names = _codes([b.category for b in boxes])
         values = [(b.x, b.y, b.z, b.l, b.w, b.h, b.yaw) for b in boxes]
         scores = [math.nan if b.score is None else b.score for b in boxes]
-        return cls(np.array(values, dtype=np.float64).reshape(-1, 7), codes, tuple(index), scores)
+        return cls(np.array(values, dtype=np.float64).reshape(-1, 7), codes, names, scores)
 
     def take(self, rows) -> "BoxArray":
         """The boxes at ``rows``, not checked again."""

@@ -421,14 +421,12 @@ def oracle_swap(frame: FrameSet, fields: Iterable[str], radius: float = 4.0) -> 
 def seg_miou(
     pairs: Mapping[str, Sequence[tuple[BevGrid, BevGrid]]],
     binarize_threshold: float = 0.5,
-    foreground: Iterable[str] | None = None,
 ) -> SegIoUReport:
     """Dataset-level segmentation IoU per category from (pred, gt) grid pairs.
 
     Intersections and unions accumulate over all frames before dividing;
     frames where both grids are empty contribute nothing.  ``mean_foreground``
-    averages the ``foreground`` categories (all, by default) whose
-    accumulated union is not empty.
+    averages the categories whose accumulated union is not empty.
     A cell is foreground when its value reaches ``binarize_threshold``, in (0, 1].
     """
     check_ranges(binarize_threshold=binarize_threshold)
@@ -444,6 +442,5 @@ def seg_miou(
             inter += common
             union += int(np.count_nonzero(p)) + int(np.count_nonzero(g)) - common
         per_category[cat] = inter / union if union else math.nan
-    fg = set(foreground) if foreground is not None else set(pairs)
-    fg_vals = [v for c, v in per_category.items() if c in fg and not math.isnan(v)]
+    fg_vals = [v for v in per_category.values() if not math.isnan(v)]
     return SegIoUReport(per_category=per_category, mean_foreground=float(np.mean(fg_vals)) if fg_vals else math.nan)

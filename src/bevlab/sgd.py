@@ -259,7 +259,7 @@ class EnsembleStats:
         standard error, drawn when first read; :func:`sweep` does not read it, its rows share one draw."""
         c = self.config_echo
         z = _variance_noise(c.base_seed)
-        return _scaled_gradient_variance(c.loss, z, c.sigma, z)
+        return _gradient_variance(c.loss, z, c.sigma, z)
 
 
 @dataclass(frozen=True)
@@ -348,11 +348,6 @@ def _variance(x: np.ndarray) -> float:
     return float(np.add.reduce(x) / x.size)
 
 
-def _gradient_variance(loss: LossKind, eta: np.ndarray) -> float:
-    """``float(np.var(gradient_array(loss, eta)))`` in ``eta``'s buffer, left as :func:`_variance` leaves it."""
-    return _variance(gradient_array(loss, eta, out=eta))
-
-
 def _finite(sigma: float, what: str, value: float) -> float:
     """``value``, a statistic of finite inputs at noise ``sigma``; ValueError naming sigma if it overflowed."""
     if not math.isfinite(value):
@@ -360,12 +355,12 @@ def _finite(sigma: float, what: str, value: float) -> float:
     return value
 
 
-def _scaled_gradient_variance(loss: LossKind, z: np.ndarray, sigma: float, out: np.ndarray) -> float:
-    """:func:`_gradient_variance` at residuals ``sigma * z``, written into ``out`` (``z`` itself
-    allowed); raises ValueError naming sigma when it overflows."""
+def _gradient_variance(loss: LossKind, z: np.ndarray, sigma: float, out: np.ndarray) -> float:
+    """``float(np.var(gradient_array(loss, sigma * z)))`` in ``out``'s buffer (``z`` itself allowed), left
+    as :func:`_variance` leaves it; raises ValueError naming sigma when it overflows."""
     with np.errstate(over="ignore"):  # l1, dice and smooth-L1 read an overflowed sigma * z rightly
         np.multiply(z, sigma, out=out)
-        return _finite(sigma, "gradient variance", _gradient_variance(loss, out))
+        return _finite(sigma, "gradient variance", _variance(gradient_array(loss, out, out=out)))
 
 
 def empirical_gradient_variance(
@@ -381,7 +376,7 @@ def empirical_gradient_variance(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     eta = _variance_noise(base_seed, samples)
-    var = _scaled_gradient_variance(loss, eta, sigma, eta)  # leaves the squared deviations in eta
+    var = _gradient_variance(loss, eta, sigma, eta)  # leaves the squared deviations in eta
     with np.errstate(over="ignore"):
         se = float(np.sqrt(_variance(eta)) / np.sqrt(samples))  # their np.std over sqrt(samples)
     return var, _finite(sigma, "standard error of the gradient variance", se)
@@ -471,7 +466,7 @@ def sweep(
         if at_sign and loss in sign_only:
             var = sign_only[loss]
         else:
-            var = _scaled_gradient_variance(loss, z, noise.sigma, eta)
+            var = _gradient_variance(loss, z, noise.sigma, eta)
             if at_sign:
                 sign_only[loss] = var
         rows.append(SweepRow(loss=loss_name, length=length, sigma=noise.sigma,

@@ -1165,3 +1165,46 @@ def test_python_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == EXIT_OK
     assert "sigma_c=0.25" in done.stdout.splitlines()
+
+
+# each size asks NumPy for terabytes; under the 1 GiB cap the allocation fails at once, before any
+# thread starts, instead of being granted by overcommit and killed later
+OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from bevlab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+HUGE = str(2**40)
+
+
+@pytest.mark.parametrize("command,sizes", [
+    (f"sgd --loss l2 --sigma 1 --steps {HUGE}", "--trials, --steps, --dim"),
+    (f"sgd --loss l2 --sigma 1 --trials {HUGE}", "--trials, --steps, --dim"),
+    (f"variance --loss l2 --sigma 1 --samples {HUGE}", "--samples"),
+    (f"theorem1 --length 4 --sigma 1 --dim {HUGE}", "--seeds, --objects, --steps, --dim"),
+    (f"theorem1 --length 4 --sigma 1 --objects {HUGE} --steps 3 --dim 2", "--seeds, --objects, --steps, --dim"),
+    ("rasterize --input {boxes} --out {out} --rows 1048576 --cols 1048576 --extent 0,10,0,10", "--rows, --cols"),
+])
+def test_a_size_past_memory_exits_2_naming_the_size_flags(command, sizes, tmp_path):
+    boxes = tmp_path / "boxes.jsonl"
+    write_jsonl(boxes, [box_record()])
+    argv = command.format(boxes=boxes, out=tmp_path / "grid.bevg").split()
+    src = Path(bevlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == EXIT_FLAGS, done.stderr
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if "error" in line] == [
+        f"bevlab {argv[0]}: error: out of memory; lower {sizes}"]
+
+
+def test_a_command_without_size_flags_lets_memory_error_through(monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "threshold", (exhausted, *cli.COMMANDS["threshold"][1:]))
+    with pytest.raises(MemoryError):
+        main(["threshold", "--length", "4"])

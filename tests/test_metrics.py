@@ -605,6 +605,12 @@ class TestSegMiou:
         p, g = self._grid([[1, 0]]), self._grid([[1, 1]])
         report = seg_miou({"car": [(g, g)], "truck": [(p, g)]})
         assert report.mean_foreground == pytest.approx(0.75)
+        # a category whose every frame is empty has no IoU and is left out of the mean
+        empty = self._grid([[0, 0]])
+        report = seg_miou({"car": [(p, g)], "bus": [(empty, empty), (empty, empty)]})
+        assert math.isnan(report.per_category["bus"])
+        assert report.mean_foreground == 0.5
+        assert math.isnan(seg_miou({"bus": [(empty, empty)], "truck": []}).mean_foreground)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
