@@ -7,7 +7,6 @@ from .losses import (
     NoiseModel,
     ThresholdResult,
     closed_form_variance,
-    erf,
     erf_inv,
     loss_gradient,
     loss_value,

@@ -40,25 +40,21 @@ __all__ = [
 _SCENE_STREAM = 0x5CE
 _TRAIN_STREAM = 0x17A1
 _RAY_SPACING = 1000.0  # meters between rays; far beyond any box extent
+_DEPTH_RANGE = (20.0, 80.0)  # meters; every ground-truth depth is uniform in it
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """A scene's categories, size, depth range and seed.  :func:`generate_scene`
-    does not read ``sigma``; it stays because perfbench's theorem-1 check passes it."""
+    """A scene's categories, size and seed; its depths are uniform in ``_DEPTH_RANGE``.
+    :func:`generate_scene` does not read ``sigma``; it stays because perfbench's theorem-1 check passes it."""
 
     categories: tuple[tuple[str, float], ...]  # (name, length)
     objects_per_category: int
-    depth_range: tuple[float, float] = (20.0, 80.0)
     feature_dim: int = 16
     sigma: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        z_min, z_max = map(float, self.depth_range)  # as Python floats, an overflow is inf and no warning
-        mid = 0.5 * (z_min + z_max)  # the norm of w_star, whose square generate_scene divides by
-        if not (np.inf > z_max > z_min > 0 and np.inf > mid * mid):
-            raise ValueError("depth_range must satisfy z_max > z_min > 0 and be finite, with a finite midpoint squared")
         if not all(1 <= n <= sys.maxsize for n in (self.objects_per_category, self.feature_dim)):
             raise ValueError(f"objects_per_category and feature_dim must be >= 1 and at most {sys.maxsize}")
         if not all(0 < length < np.inf for _, length in self.categories):
@@ -89,10 +85,10 @@ class SyntheticScene:
 def generate_scene(config: SceneConfig) -> SyntheticScene:
     """Deterministically draw a scene: w_star from the scaled unit sphere,
     features standard normal rescaled along w_star so depths land uniformly
-    in the configured range."""
+    in ``_DEPTH_RANGE``."""
     rng = _rng(config.seed, _SCENE_STREAM)
     dim = config.feature_dim
-    z_min, z_max = config.depth_range
+    z_min, z_max = _DEPTH_RANGE
     direction = rng.standard_normal(dim)
     direction /= np.linalg.norm(direction)
     w_star = direction * 0.5 * (z_min + z_max)

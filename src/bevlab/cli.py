@@ -392,7 +392,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sub_parser.error(str(exc))
     except MemoryError:  # a size flag asked for more than the process may allocate
-        sizes = [flag for flag, kwargs in COMMANDS[args.command][2] if kwargs.get("type") is int]
+        # theorem1 frees each seed's scene and weights before the next, so a lower --seeds frees nothing
+        sizes = [flag for flag, kwargs in COMMANDS[args.command][2] if kwargs.get("type") is int and flag != "--seeds"]
         if not sizes:
             raise
         sub_parser.error(f"out of memory; lower {', '.join(sizes)}")

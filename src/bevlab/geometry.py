@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Box3D:
     def footprint(self) -> list[tuple[float, float]]:
         """Counter-clockwise corners of the BEV footprint in the (x, z) plane."""
         return _footprint(self.x, self.z, self.l, self.w, self.yaw)
-
-    def with_score(self, score: float | None) -> "Box3D":
-        return replace(self, score=score)
 
 
 def _footprint(x: float, z: float, l: float, w: float, yaw: float) -> list[tuple[float, float]]:

@@ -33,7 +33,6 @@ __all__ = [
     "LossKind",
     "NoiseModel",
     "ThresholdResult",
-    "erf",
     "erf_inv",
     "loss_value",
     "loss_gradient",
@@ -136,11 +135,6 @@ class ThresholdResult:
 
 def _normal_square(x: float) -> bool:  # neither 0, subnormal nor inf
     return sys.float_info.min <= x * x < math.inf
-
-
-def erf(x: float) -> float:
-    """Gauss error function (odd, saturating to +/-1)."""
-    return math.erf(x)
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
@@ -272,11 +266,11 @@ def closed_form_variance(kind: LossKind, noise: NoiseModel) -> float | None:
     ell = kind.length
     if sigma == 0.0:
         return 1.0 / (ell * ell)
-    return erf(ell / (_SQRT2 * sigma)) / (ell * ell)
+    return math.erf(ell / (_SQRT2 * sigma)) / (ell * ell)
 
 
 def _fixed_point_residual(sigma: float, length: float) -> float:
-    return sigma * sigma - erf(length / (_SQRT2 * sigma)) / (length * length)
+    return sigma * sigma - math.erf(length / (_SQRT2 * sigma)) / (length * length)
 
 
 def sigma_m(length: float) -> float:

@@ -396,9 +396,9 @@ def center_nms(boxes: Sequence[Box3D], radius: float = 4.0) -> list[Box3D]:
 _SWAPPABLE = ("x", "y", "z", "l", "w", "h", "yaw")
 
 
-def oracle_swap(frame: FrameSet, fields: Iterable[str], radius: float = 4.0) -> FrameSet:
-    """Replace the selected fields of each prediction with those of the
-    nearest ground truth when its BEV center distance is below ``radius``."""
+def oracle_swap(frame: FrameSet, fields: Iterable[str]) -> FrameSet:
+    """Replace the selected fields of each prediction with those of the nearest ground truth (the first in
+    frame order on a tie) when its BEV center distance is below 4 m."""
     fields = set(fields)
     unknown = fields - set(_SWAPPABLE)
     if unknown:
@@ -412,7 +412,7 @@ def oracle_swap(frame: FrameSet, fields: Iterable[str], radius: float = 4.0) -> 
             if dist < best_dist:
                 best_dist = dist
                 best = gt
-        if best is not None and best_dist < radius and fields:
+        if best is not None and best_dist < 4.0 and fields:
             pred = replace(pred, **{f: getattr(best, f) for f in fields})
         swapped.append(pred)
     return FrameSet.from_columns(frame.frame_id, BoxArray.from_boxes(swapped), frame.gt_boxes)

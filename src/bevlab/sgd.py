@@ -184,22 +184,16 @@ def _variance_noise(base_seed: int, samples: int = VARIANCE_SAMPLES) -> np.ndarr
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """SGD step sizes s_j: ``scale/j`` (square summable) or constant ``scale``."""
+    """SGD step sizes s_j = ``scale/j``, square summable."""
 
-    kind: str = "inverse_j"
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("inverse_j", "constant"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0 < self.scale < np.inf:
             raise ValueError("scale must be > 0 and finite")
 
     def steps(self, t: int) -> np.ndarray:
-        j = np.arange(1, t + 1, dtype=np.float64)
-        if self.kind == "inverse_j":
-            return self.scale / j
-        return np.full(t, self.scale)
+        return self.scale / np.arange(1, t + 1, dtype=np.float64)
 
     def cumulative_square_sum(self, t: int) -> float:
         """s_T = sum of squared step sizes up to T (-> pi^2/6 for scale-1 1/j)."""
@@ -440,13 +434,12 @@ def sweep(
     no ``|sigma z|`` passes the length) share one variance pass per loss.
 
     Non-dice losses do not depend on the object length but the length column
-    is still recorded so the table stays rectangular.
+    is still recorded so the table stays rectangular.  Smooth-L1 rows use beta = 1.
     """
     axes = list(losses), list(lengths), list(sigmas)
     if not all(axes):
         raise ValueError("sweep axes must be non-empty")
-    beta = template.loss.beta if template.loss.kind == "smooth_l1" else 1.0
-    cells = [(name, length, LossKind.parse(name, length, beta)) for name, length in itertools.product(*axes[:2])]
+    cells = [(name, length, LossKind.parse(name, length)) for name, length in itertools.product(*axes[:2])]
     if not all(map(math.isfinite, axes[1])):  # dice checks its lengths; the other losses only echo them
         raise ValueError("sweep lengths must be finite")
     noises = [NoiseModel(sigma) for sigma in axes[2]]

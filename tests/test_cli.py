@@ -1034,6 +1034,48 @@ def bad_grid_file(draw, fault: str):
     return ".bevg", header + struct.pack(f"<{len(flat)}f", *flat), message
 
 
+BOX_FAULTS = ["none", "bad JSON", "missing key", "non-finite", "negative", "unscored", "bytes"]
+BOX_KEYS = ["frame", "category", "x", "y", "z", "l", "w", "h", "yaw"]
+
+
+@st.composite
+def fuzzed_box_files(draw, fault: str):
+    """(pred bytes, gt bytes, the spoilt file, line): scored predictions and unscored ground truths of two
+    frames and categories, and one line of one file spoilt by ``fault``.  An unscored ground truth is no
+    fault, so neither is dropping its (absent) score."""
+    def boxes(scored):
+        coords, dims = st.floats(-60, 60), st.floats(0.1, 15)
+        return st.lists(st.fixed_dictionaries({
+            "frame": st.sampled_from(["f0", "f1"]), "category": st.sampled_from(["car", "truck"]),
+            "x": coords, "y": st.floats(-2, 2), "z": coords, "l": dims, "w": dims, "h": dims,
+            "yaw": st.floats(-7, 7), **({"score": st.floats(0, 1)} if scored else {})}), min_size=1, max_size=6)
+
+    files = {"pred": draw(boxes(True)), "gt": draw(boxes(False))}
+    spoilt = draw(st.sampled_from(["pred", "gt"]))
+    index = draw(st.integers(0, len(files[spoilt]) - 1))
+    lines = {name: [json.dumps(rec).encode() for rec in records] for name, records in files.items()}
+    rec = dict(files[spoilt][index])
+    if fault == "bad JSON":
+        line = draw(st.sampled_from([json.dumps(rec)[:-1], json.dumps(rec) + " x", "[1, 2]", "{", "nul"])).encode()
+    elif fault == "missing key":
+        del rec[draw(st.sampled_from(BOX_KEYS))]
+        line = json.dumps(rec).encode()
+    elif fault in ("non-finite", "negative"):  # json writes NaN and Infinity, and 10**400 overflows a float
+        key = draw(st.sampled_from(BOX_KEYS[2:] if fault == "non-finite" else BOX_KEYS[5:8]))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400] if fault == "non-finite"
+                                     else [-1.5, 0, -0.0, -1e-300]))
+        line = json.dumps({**rec, key: value}).encode()
+    elif fault == "unscored":
+        rec.pop("score", None)
+        line = json.dumps(rec).encode()
+    elif fault == "bytes":
+        line = json.dumps(rec).encode().replace(b'"category": "', b'"category": "\xff', 1)
+    else:
+        line = lines[spoilt][index]
+    lines[spoilt][index] = line
+    return b"\n".join(lines["pred"]) + b"\n", b"\n".join(lines["gt"]) + b"\n", spoilt, index + 1
+
+
 def run_main(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -1095,6 +1137,30 @@ class TestFuzz:
                 assert code == EXIT_OK
             else:
                 assert code == EXIT_INPUT_PARSE and re.fullmatch(rf"error: {re.escape(str(path))}:\d+: .+\n", err), err
+
+    @pytest.mark.parametrize("fault", BOX_FAULTS)
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    def test_box_files_exit_0_or_4(self, fault, data):
+        """``eval`` and ``nms`` (of the predictions) exit 0 on valid files; a spoilt line exits 4 naming
+        ``path:line:``, and an unscored prediction exits 4 naming its frame.  No exception escapes."""
+        pred_bytes, gt_bytes, spoilt, line_no = data.draw(fuzzed_box_files(fault))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {name: Path(tmp, f"{name}.jsonl") for name in ("pred", "gt", "kept")}
+            files["pred"].write_bytes(pred_bytes)
+            files["gt"].write_bytes(gt_bytes)
+            path = files[spoilt]
+            runs = {"eval": ["--pred", str(files["pred"]), "--gt", str(files["gt"])],
+                    "nms": ["--input", str(files["pred"]), "--out", str(files["kept"])]}
+            for command, flags in runs.items():
+                code, err = run_main([command, *flags])
+                if fault == "none" or spoilt == "gt" and (fault == "unscored" or command == "nms"):
+                    assert (code, err) == (EXIT_OK, ""), (command, fault, err)
+                elif fault == "unscored":
+                    unscored = rf"error: {re.escape(str(path))}: frame 'f[01]' has an unscored .+\n"
+                    assert code == EXIT_INPUT_PARSE and re.fullmatch(unscored, err), (command, err)
+                else:
+                    assert code == EXIT_INPUT_PARSE and err.startswith(f"error: {path}:{line_no}: "), (command, err)
 
 
 COMMAND_NAMES = ["variance", "threshold", "sweep", "sgd", "theorem1", "eval", "nms", "rasterize", "seg-iou"]
@@ -1182,8 +1248,8 @@ HUGE = str(2**40)
     (f"sgd --loss l2 --sigma 1 --steps {HUGE}", "--trials, --steps, --dim"),
     (f"sgd --loss l2 --sigma 1 --trials {HUGE}", "--trials, --steps, --dim"),
     (f"variance --loss l2 --sigma 1 --samples {HUGE}", "--samples"),
-    (f"theorem1 --length 4 --sigma 1 --dim {HUGE}", "--seeds, --objects, --steps, --dim"),
-    (f"theorem1 --length 4 --sigma 1 --objects {HUGE} --steps 3 --dim 2", "--seeds, --objects, --steps, --dim"),
+    (f"theorem1 --length 4 --sigma 1 --dim {HUGE}", "--objects, --steps, --dim"),
+    (f"theorem1 --length 4 --sigma 1 --objects {HUGE} --steps 3 --dim 2", "--objects, --steps, --dim"),
     ("rasterize --input {boxes} --out {out} --rows 1048576 --cols 1048576 --extent 0,10,0,10", "--rows, --cols"),
 ])
 def test_a_size_past_memory_exits_2_naming_the_size_flags(command, sizes, tmp_path):

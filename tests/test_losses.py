@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from math import erf  # closed_form_variance, sigma_m and erf_inv call it: TestErf checks it against mpmath
 
 import mpmath
 import numpy as np
@@ -13,7 +14,6 @@ from bevlab.losses import (
     NoiseModel,
     ThresholdResult,
     closed_form_variance,
-    erf,
     erf_inv,
     gradient_array,
     loss_gradient,

@@ -128,7 +128,7 @@ class TestEvaluate:
 
     def test_perfect_predictions(self):
         gts = [box(), box(x=30), box(x=60, category="truck", l=12)]
-        preds = [g.with_score(1.0) for g in gts]
+        preds = [replace(g, score=1.0) for g in gts]
         report = evaluate([frame(preds, gts)])
         for (cat, thr, lab), curve in report.curves.items():
             if curve.n_gt > 0:
@@ -216,7 +216,7 @@ def lattice_frames(draw, max_frames=2):
                 shift = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
                 preds.append(replace(gt, x=gt.x + draw(shift), z=gt.z + draw(shift), score=score))
             else:
-                preds.append(draw(lattice_box).with_score(score))
+                preds.append(replace(draw(lattice_box), score=score))
         frames.append(frame(preds, gts, f"f{fi}"))
     return frames
 
@@ -539,6 +539,16 @@ class TestOracleSwap:
         f = frame([box(z=10.5, score=0.9)], [box(z=10.0), box(z=12.0)])
         swapped = oracle_swap(f, {"z", "l"})
         assert swapped.predictions[0].z == 10.0
+
+    @pytest.mark.parametrize("distance,swapped_x", [(4.0, 4.0), (3.999, 0.0)])
+    def test_radius_is_4_m_exclusive(self, distance, swapped_x):
+        f = frame([box(x=distance, score=0.9)], [box(x=0.0)])
+        assert oracle_swap(f, {"x"}).predictions[0].x == swapped_x
+
+    @pytest.mark.parametrize("lengths", [(5.0, 7.0), (7.0, 5.0)])
+    def test_tie_goes_to_the_first_gt_in_frame_order(self, lengths):
+        f = frame([box(z=10.0, score=0.9)], [box(z=7.0, l=lengths[0]), box(z=13.0, l=lengths[1])])
+        assert oracle_swap(f, {"l"}).predictions[0].l == lengths[0]
 
     def test_all_fields_swap_gives_perfect_ap(self):
         rng = np.random.default_rng(31)

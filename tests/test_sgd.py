@@ -29,8 +29,10 @@ class TestStepSchedule:
         s = StepSchedule().steps(4)
         assert np.allclose(s, [1, 0.5, 1 / 3, 0.25])
 
-    def test_constant(self):
-        assert np.allclose(StepSchedule("constant", 0.1).steps(3), [0.1, 0.1, 0.1])
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_steps_are_scale_over_j_bit_for_bit(self, scale):
+        t = 1000
+        assert StepSchedule(scale=scale).steps(t).tobytes() == (scale / np.arange(1, t + 1, dtype=np.float64)).tobytes()
 
     def test_cumulative_square_sum_basel_limit(self):
         assert StepSchedule().cumulative_square_sum(10**6) == pytest.approx(math.pi**2 / 6, abs=1e-5)
@@ -41,8 +43,6 @@ class TestStepSchedule:
         )
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            StepSchedule("exp")
         with pytest.raises(ValueError):
             StepSchedule(scale=0.0)
 
@@ -209,6 +209,7 @@ class TestSweep:
     SHARED = dict(lengths=[4.0, 12.0], sigmas=[0.0, 0.3, 5.0], losses=["l1", "l2", "dice", "smooth_l1"])
 
     def test_var_empirical_is_the_estimator_of_its_row(self):
+        # the template's beta is not borrowed: every smooth_l1 row uses beta = 1
         template = self._template(loss=LossKind.smooth_l1(0.5), steps=10, trials=2)
         # 1e-310 keeps every sigma * z nonzero; at the edge sigmas only the largest |sigma z| moves across 4
         z_max = float(np.abs(sgd._variance_noise(template.base_seed)).max())
@@ -217,7 +218,7 @@ class TestSweep:
         rows = sweep(**{**self.SHARED, "sigmas": [*self.SHARED["sigmas"], 1e-310, *edge]}, template=template)
         assert len(rows) == 48
         for r in rows:
-            loss = LossKind.parse(r.loss, r.length, beta=0.5)
+            loss = LossKind.parse(r.loss, r.length, beta=1.0)
             assert r.var_empirical == empirical_gradient_variance(loss, r.sigma, template.base_seed)[0], r
 
     @pytest.mark.parametrize("mode", ["idealized", "literal"])
